@@ -1,17 +1,31 @@
 """Package archive format: plain ustar tar, package path rules enforced.
 
 Packing is deterministic (sorted paths, zeroed metadata) so archiving the
-same tree twice gives identical bytes. Unpacking is strict: only regular
-files and directories, relative forward-slash paths, no links of any kind.
+same tree twice gives identical bytes. Unpacking and in-memory digesting
+share one strict reading, so an archive's digest always equals that of the
+tree it unpacks to: only regular files and directories (no links of any
+kind), names that follow the package path rules after one leading ``./``
+is dropped, no name twice, no file that is also another member's
+directory, no regular file named with a trailing ``/``, and at most
+``max_bytes`` of file contents.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import shutil
 import tarfile
 from pathlib import Path
 
-from attestrep.package_model import PathRuleViolation, validate_relative_path
+from attestrep.package_model import (
+    PackageDigest,
+    PathRuleViolation,
+    digest_entries,
+    package_files,
+    stream_sha256,
+    validate_relative_path,
+)
 
 
 class ArchiveMalformed(Exception):
@@ -21,75 +35,83 @@ class ArchiveMalformed(Exception):
 
 
 def pack_tree(root: str | Path) -> bytes:
-    """Deterministic ustar archive of every regular file under ``root``.
-
-    Symlinks are refused, matching the digest rules: an archive must
-    round-trip to a tree with the same digest.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise ArchiveMalformed(f"not a directory: {root}")
-    paths = []
-    for path in sorted(root.rglob("*"), key=lambda p: p.relative_to(root).as_posix()):
-        if path.is_symlink():
-            raise ArchiveMalformed(f"symlink in package tree: {path}")
-        if path.is_file():
-            paths.append(path)
-    buffer = io.BytesIO()
-    with tarfile.open(fileobj=buffer, mode="w", format=tarfile.USTAR_FORMAT) as tar:
-        for path in paths:
-            rel = path.relative_to(root).as_posix()
-            info = tarfile.TarInfo(name=rel)
-            data = path.read_bytes()
-            info.size = len(data)
-            info.mtime = 0
-            info.uid = info.gid = 0
-            info.uname = info.gname = ""
-            info.mode = 0o755 if path.stat().st_mode & 0o100 else 0o644
-            tar.addfile(info, io.BytesIO(data))
+    """Deterministic ustar archive of exactly the files ``digest_package`` covers, streamed."""
+    files = [(rel, path, os.stat(path)) for rel, path in package_files(root)]
+    # sized up front (headers, whole blocks, end padding): filled in place, never regrown by copies
+    buffer = io.BytesIO(bytes(sum(512 + -(-st.st_size // 512) * 512 for *_, st in files) + 20480))
+    with tarfile.open(fileobj=buffer, mode="w", format=tarfile.USTAR_FORMAT, encoding="utf-8") as tar:
+        for rel, path, stat in files:
+            info = tarfile.TarInfo(name=rel)  # mtime, uid, gid, uname and gname default to zero/empty
+            info.size = stat.st_size
+            info.mode = 0o755 if stat.st_mode & 0o100 else 0o644
+            with open(path, "rb") as fh:
+                tar.addfile(info, fh)
+    buffer.truncate()
     return buffer.getvalue()
+
+
+def _members(data: bytes, max_bytes: int) -> tuple[tarfile.TarFile, list[tuple[str, tarfile.TarInfo]]]:
+    """The open archive and its checked ``(path, member)`` directories and regular files."""
+    try:
+        tar = tarfile.open(fileobj=io.BytesIO(data), mode="r:*", encoding="utf-8")
+        members = tar.getmembers()
+    except tarfile.TarError as exc:
+        raise ArchiveMalformed(f"unreadable tar: {exc}") from exc
+    checked: list[tuple[str, tarfile.TarInfo]] = []
+    names: set[str] = set()
+    files: set[str] = set()
+    dirs: set[str] = set()
+    total = 0
+    for member in members:
+        name = member.name[2:] if member.name.startswith("./") else member.name
+        if member.isdir() and not name:
+            continue
+        if not (member.isdir() or (member.isreg() and not name.endswith("/"))):
+            raise ArchiveMalformed(f"member {member.name!r} is not a regular file or directory")
+        try:
+            validate_relative_path(name, "archive member")
+        except PathRuleViolation as exc:
+            raise ArchiveMalformed(str(exc)) from exc
+        segments = name.split("/")
+        parents = {"/".join(segments[:i]) for i in range(1, len(segments))}
+        if name in names or not files.isdisjoint(parents) or (member.isreg() and name in dirs):
+            raise ArchiveMalformed(f"member {name!r} repeats a name or is both a file and a directory")
+        names.add(name)
+        dirs |= parents
+        if member.isdir():
+            dirs.add(name)
+        else:
+            files.add(name)
+            total += member.size
+            if total > max_bytes:
+                raise ArchiveMalformed(f"archive exceeds {max_bytes} bytes unpacked")
+        checked.append((name, member))
+    return tar, checked
 
 
 def unpack_archive(data: bytes, dest: str | Path, max_bytes: int = 1 << 30) -> None:
     """Extract a package archive into ``dest``, refusing anything unsafe."""
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
-    try:
-        tar = tarfile.open(fileobj=io.BytesIO(data), mode="r:*")
-    except tarfile.TarError as exc:
-        raise ArchiveMalformed(f"unreadable tar: {exc}") from exc
-    total = 0
+    tar, members = _members(data, max_bytes)
     with tar:
-        try:
-            members = tar.getmembers()
-        except tarfile.TarError as exc:
-            raise ArchiveMalformed(f"unreadable tar: {exc}") from exc
-        for member in members:
-            name = member.name[2:] if member.name.startswith("./") else member.name
-            if member.isdir():
-                if name:
-                    _check_path(name)
-                    (dest / name).mkdir(parents=True, exist_ok=True)
-                continue
-            if not member.isreg():
-                raise ArchiveMalformed(f"member {member.name!r} is not a regular file or directory")
-            _check_path(name)
-            total += member.size
-            if total > max_bytes:
-                raise ArchiveMalformed(f"archive exceeds {max_bytes} bytes unpacked")
-            source = tar.extractfile(member)
-            if source is None:
-                raise ArchiveMalformed(f"member {member.name!r} has no content")
+        for name, member in members:
             target = dest / name
+            if member.isdir():
+                target.mkdir(parents=True, exist_ok=True)
+                continue
             target.parent.mkdir(parents=True, exist_ok=True)
-            with source:
-                target.write_bytes(source.read())
+            with tar.extractfile(member) as source, target.open("wb") as out:
+                shutil.copyfileobj(source, out, 1 << 20)
             if member.mode & 0o100:
                 target.chmod(0o755)
 
 
-def _check_path(name: str) -> None:
-    try:
-        validate_relative_path(name, "archive member")
-    except PathRuleViolation as exc:
-        raise ArchiveMalformed(str(exc)) from exc
+def digest_archive(data: bytes, max_bytes: int = 1 << 30) -> PackageDigest:
+    """In memory, ``digest_package`` of the tree ``unpack_archive`` would write; refuses what it refuses."""
+    tar, members = _members(data, max_bytes)
+    with tar:
+        return digest_entries(
+            (name, *stream_sha256(tar.extractfile(member))) for name, member in members if member.isreg()
+        )
+

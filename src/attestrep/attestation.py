@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -231,11 +231,7 @@ class AttestationProvider:
             root_public_key=self.root_public_key,
             signature=b"",
         )
-        root_stmt = RootStatement(
-            provider_id=config.provider_id,
-            root_public_key=self.root_public_key,
-            signature=self._root_key.sign(root_stmt.canonical_body()),
-        )
+        root_stmt = replace(root_stmt, signature=self._root_key.sign(root_stmt.canonical_body()))
         endorsement = AttestationEndorsement(
             provider_id=config.provider_id,
             attestation_public_key=self.attestation_public_key,
@@ -243,13 +239,7 @@ class AttestationProvider:
             not_after=not_after,
             signature=b"",
         )
-        endorsement = AttestationEndorsement(
-            provider_id=config.provider_id,
-            attestation_public_key=self.attestation_public_key,
-            not_before=not_before,
-            not_after=not_after,
-            signature=self._root_key.sign(endorsement.canonical_body()),
-        )
+        endorsement = replace(endorsement, signature=self._root_key.sign(endorsement.canonical_body()))
         self._chain = EndorsementChain(root_statement=root_stmt, attestation_endorsement=endorsement)
 
     def sign_quote(self, measurement: bytes, report_data: bytes, now: int | None = None) -> AttestationQuote:
@@ -268,20 +258,7 @@ class AttestationProvider:
             signature=b"",
             signing_key_id=self.signing_key_id,
         )
-        return AttestationQuote(
-            version=QUOTE_VERSION,
-            provider_id=self.config.provider_id,
-            measurement=measurement,
-            report_data=report_data,
-            issued_at=issued_at,
-            signature=self._attestation_key.sign(unsigned.canonical_body()),
-            signing_key_id=self.signing_key_id,
-        )
+        return replace(unsigned, signature=self._attestation_key.sign(unsigned.canonical_body()))
 
     def export_chain(self) -> EndorsementChain:
         return self._chain
-
-
-def init_provider(config: ProviderConfig, now: int | None = None) -> AttestationProvider:
-    """Derive the provider key hierarchy and endorsement chain from config."""
-    return AttestationProvider(config, now=now)

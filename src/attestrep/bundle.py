@@ -15,7 +15,7 @@ token.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from attestrep.attestation import (
     ENDORSEMENT_STATEMENT_TYPE,
@@ -114,8 +114,8 @@ class ProofBundle:
         """Everything bundle_id covers, i.e. all fields except bundle_id."""
         return {
             "format_version": self.format_version,
-            "package_digest": _digest_to_dict(self.package_digest),
-            "output_digest": _digest_to_dict(self.output_digest),
+            "package_digest": self.package_digest.to_dict(),
+            "output_digest": self.output_digest.to_dict(),
             "execution": self.execution.to_dict(),
             "quote": self.quote.to_dict(),
             "chain": self.chain.to_dict(),
@@ -132,14 +132,6 @@ class ProofBundle:
     @property
     def token(self) -> str:
         return self.bundle_id.hex()
-
-
-def _digest_to_dict(digest: PackageDigest) -> dict:
-    return {
-        "value": digest.value.hex(),
-        "file_count": digest.file_count,
-        "total_bytes": digest.total_bytes,
-    }
 
 
 def build_bundle(
@@ -174,15 +166,7 @@ def build_bundle(
         chain=chain,
         bundle_id=b"",
     )
-    return ProofBundle(
-        format_version=bundle.format_version,
-        package_digest=bundle.package_digest,
-        output_digest=bundle.output_digest,
-        execution=bundle.execution,
-        quote=bundle.quote,
-        chain=bundle.chain,
-        bundle_id=bundle.computed_bundle_id(),
-    )
+    return replace(bundle, bundle_id=bundle.computed_bundle_id())
 
 
 def serialize_bundle(bundle: ProofBundle) -> bytes:

@@ -183,13 +183,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     now = args.now if args.now is not None else int(time.time())
     verdict = verify_bundle(data, _trust_roots(args), now=now)
     if verdict.accepted and (args.archive_digest or args.archive_dir):
-        bundle = parse_bundle(data)
-        archived = (
-            digest_package(args.archive_dir)
-            if args.archive_dir
-            else _ArchivedValue(args.archive_digest)
-        )
-        verdict = verify_against_archive(bundle, archived)
+        archived = digest_package(args.archive_dir).value if args.archive_dir else args.archive_digest
+        verdict = verify_against_archive(parse_bundle(data), archived)
     if args.json:
         _emit(verdict.to_dict(), as_json=True)
     elif verdict.accepted:
@@ -197,14 +192,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"Reject: {verdict.reason} ({verdict.detail})")
     return 0 if verdict.accepted else 1
-
-
-class _ArchivedValue:
-    """Adapter giving a bare digest value the PackageDigest .value surface."""
-
-    def __init__(self, value: bytes) -> None:
-        self.value = value
-        self.hex = value.hex()
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

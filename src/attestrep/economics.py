@@ -204,7 +204,8 @@ def stringency_optimum(
     v = 1 dominates any interior manual optimum.
     """
     k, m, b = params.cost_scale, params.cost_exponent, params.benefit_slope
-    v_manual = min(1.0, (b / (k * m)) ** (1.0 / (m - 1.0)))
+    ratio = b / (k * m)  # the root is at least 1 exactly when the ratio is; raising it could overflow
+    v_manual = 1.0 if ratio >= 1.0 else ratio ** (1.0 / (m - 1.0))
     manual = StringencyResult(v_star=v_manual, regime_cost=params.cost(v_manual), regime="manual")
     if not tee_available:
         return manual

@@ -2,15 +2,17 @@
 
 The digest fixes what "the submitted code" means: a platform-independent
 hash over relative paths and file contents, so the same tree produces the
-same 32 bytes everywhere. Scheme: enumerate regular files, sort UTF-8
-relative paths by byte order, hash each file as
+same 32 bytes everywhere. ``digest_entries`` is its one definition, shared
+by directory trees, tar archives and run outputs: sort the UTF-8 paths of
+the regular files by byte order, hash each file as
 
     leaf = SHA-256(0x00 || path || 0x00 || SHA-256(content))
 
 and combine as SHA-256(0x01 || leaf_1 || ... || leaf_n). The 0x00/0x01
 prefixes domain-separate leaves from the root. Directory entries, empty
 directories, and permission bits are excluded; they vary across operating
-systems and archive tools. Symlinks are refused outright.
+systems and archive tools. Symlinks, special files and names that are not
+UTF-8 are refused outright.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 MANIFEST_NAME = "attestrep.manifest"
 
@@ -88,6 +91,9 @@ class PackageDigest:
     def hex(self) -> str:
         return self.value.hex()
 
+    def to_dict(self) -> dict:
+        return {"value": self.value.hex(), "file_count": self.file_count, "total_bytes": self.total_bytes}
+
 
 @dataclass(frozen=True)
 class PackageManifest:
@@ -109,8 +115,9 @@ def validate_relative_path(path: str, field_name: str) -> None:
 
     Relative, forward-slash separators, no ``.``/``..`` segments, no
     leading slash, no backslash, no empty segments, no NUL. Rejecting
-    ``.`` keeps every file addressable by exactly one path.
+    ``.`` keeps every file addressable by exactly one path. Must be UTF-8.
     """
+    path_bytes(path, field_name)
     if not path or path.startswith("/") or "\\" in path or "\x00" in path:
         raise PathRuleViolation(field_name, path)
     segments = path.rstrip("/").split("/")
@@ -118,42 +125,69 @@ def validate_relative_path(path: str, field_name: str) -> None:
         raise PathRuleViolation(field_name, path)
 
 
-def _iter_regular_files(root: Path) -> list[str]:
-    """Relative forward-slash paths of every regular file under ``root``.
+def path_bytes(path: str, field_name: str = "path") -> bytes:
+    """UTF-8 bytes of a package path, the digest's sort key; other names are refused."""
+    try:
+        return path.encode("utf-8")
+    except UnicodeEncodeError:
+        raise PathRuleViolation(field_name, path) from None
 
-    Raises on anything that is not a regular file or directory.
+
+def package_files(root: str | Path) -> list[tuple[str, str]]:
+    """``(package path, file system path)`` of every regular file under ``root``.
+
+    The one package walker, in digest order; refuses symlinks, special files
+    and names that are not UTF-8.
     """
-    rels: list[str] = []
-    stack = [root]
+    root = Path(root)
+    if not root.is_dir() or root.is_symlink():
+        raise NotADirectory(str(root))
+    files: list[tuple[str, str]] = []
+    stack = [""]
     while stack:
-        current = stack.pop()
+        prefix = stack.pop()
         try:
-            entries = list(os.scandir(current))
+            entries = list(os.scandir(os.path.join(root, prefix)))
         except OSError as exc:
-            raise UnreadableFile(str(current), str(exc)) from exc
+            raise UnreadableFile(os.path.join(root, prefix), str(exc)) from exc
         for entry in entries:
             if entry.is_symlink():
                 raise SymlinkEncountered(entry.path)
             if entry.is_dir(follow_symlinks=False):
-                stack.append(Path(entry.path))
+                stack.append(prefix + entry.name + "/")
             elif entry.is_file(follow_symlinks=False):
-                rels.append(os.path.relpath(entry.path, root).replace(os.sep, "/"))
+                files.append((prefix + entry.name, entry.path))
             else:
                 raise UnreadableFile(entry.path, "not a regular file or directory")
-    return rels
+    files.sort(key=lambda item: path_bytes(item[0], "package file"))
+    return files
 
 
-def _file_sha256(path: Path) -> tuple[bytes, int]:
+def stream_sha256(fh) -> tuple[bytes, int]:
+    """SHA-256 and length of what is left in a binary file object, read in chunks."""
     hasher = hashlib.sha256()
     size = 0
+    while chunk := fh.read(_CHUNK):
+        hasher.update(chunk)
+        size += len(chunk)
+    return hasher.digest(), size
+
+
+def file_sha256(path: str | Path) -> tuple[bytes, int]:
     try:
-        with path.open("rb") as fh:
-            while chunk := fh.read(_CHUNK):
-                hasher.update(chunk)
-                size += len(chunk)
+        with open(path, "rb") as fh:
+            return stream_sha256(fh)
     except OSError as exc:
         raise UnreadableFile(str(path), str(exc)) from exc
-    return hasher.digest(), size
+
+
+def digest_entries(entries: Iterable[tuple[str, bytes, int]]) -> PackageDigest:
+    """The package digest of distinct ``(path, SHA-256(content), size)`` triples, in any order."""
+    leaves = sorted((path_bytes(path), content_hash, size) for path, content_hash, size in entries)
+    top = hashlib.sha256(b"\x01")
+    for path, content_hash, _size in leaves:
+        top.update(hashlib.sha256(b"\x00" + path + b"\x00" + content_hash).digest())
+    return PackageDigest(top.digest(), len(leaves), sum(size for *_, size in leaves))
 
 
 def digest_package(root: str | Path) -> PackageDigest:
@@ -163,18 +197,7 @@ def digest_package(root: str | Path) -> PackageDigest:
     change in any file path or content byte. Contents must not change while
     this runs.
     """
-    root = Path(root)
-    if not root.is_dir() or root.is_symlink():
-        raise NotADirectory(str(root))
-    rel_paths = sorted(_iter_regular_files(root), key=lambda rel: rel.encode("utf-8"))
-    top = hashlib.sha256(b"\x01")
-    total_bytes = 0
-    for rel in rel_paths:
-        content_hash, size = _file_sha256(root / rel)
-        total_bytes += size
-        leaf = hashlib.sha256(b"\x00" + rel.encode("utf-8") + b"\x00" + content_hash)
-        top.update(leaf.digest())
-    return PackageDigest(value=top.digest(), file_count=len(rel_paths), total_bytes=total_bytes)
+    return digest_entries((rel, *file_sha256(path)) for rel, path in package_files(root))
 
 
 def load_manifest(root: str | Path) -> PackageManifest:

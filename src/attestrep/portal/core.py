@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from attestrep.archive import ArchiveMalformed, unpack_archive
+from attestrep.archive import ArchiveMalformed, digest_archive, unpack_archive
 from attestrep.attestation import (
     DEFAULT_PROVIDER_ID,
     DEFAULT_VALIDITY_SECONDS,
@@ -40,7 +40,7 @@ from attestrep.bundle import BundleError, ProofBundle, build_bundle, parse_bundl
 from attestrep.canonical import canonical_json_bytes
 from attestrep.package_model import PackageDigest, PackageError, digest_package, load_manifest
 from attestrep.portal.audit import AuditCheck, AuditLog, audit_check
-from attestrep.portal.store import BlobMissing, BlobStore
+from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore
 from attestrep.runner import ExecutionLimits, RunnerError, execute
 from attestrep.verifier import DIGEST_MISMATCH, Verdict, verify_against_archive, verify_bundle
 
@@ -105,11 +105,7 @@ class Submission:
             "author_id": self.author_id,
             "received_at": self.received_at,
             "state": self.state,
-            "package_digest": {
-                "value": self.package_digest.value.hex(),
-                "file_count": self.package_digest.file_count,
-                "total_bytes": self.package_digest.total_bytes,
-            },
+            "package_digest": self.package_digest.to_dict(),
             "archive_blob": self.archive_blob,
             "bundle_blob": self.bundle_blob,
             "token": self.token,
@@ -163,6 +159,11 @@ class PortalConfig:
     max_output_bytes: int = 1 << 30
     max_archive_bytes: int = 1 << 30
     extra_trust_roots: tuple[bytes, ...] = ()
+
+
+def _is_hex_id(text: str) -> bool:
+    """Submission ids and tokens are 64 lowercase hex digits, never paths."""
+    return len(text) == 64 and not text.strip("0123456789abcdef")
 
 
 def _submission_id(package_digest: PackageDigest, received_at: int, author_id: str) -> str:
@@ -256,9 +257,9 @@ class Portal:
             canonical_json_bytes(submission.to_dict()),
         )
 
-    def _load_submission(self, submission_id: str) -> Submission:
+    def get_submission(self, submission_id: str) -> Submission:
         path = self._submission_path(submission_id)
-        if not path.is_file():
+        if not _is_hex_id(submission_id) or not path.is_file():
             raise UnknownSubmission(submission_id)
         return Submission.from_dict(json.loads(path.read_text(encoding="utf-8")))
 
@@ -340,13 +341,12 @@ class Portal:
             if incoming.exists():
                 shutil.rmtree(incoming, ignore_errors=True)
 
-    def get_submission(self, submission_id: str) -> Submission:
-        return self._load_submission(submission_id)
-
     def process(self, submission_id: str) -> Submission:
         """Run the package and either archive a proof or record the failure."""
+        if not _is_hex_id(submission_id):
+            raise UnknownSubmission(submission_id)
         with self._lock_for(submission_id):
-            submission = self._load_submission(submission_id)
+            submission = self.get_submission(submission_id)
             if submission.state != STATE_RECEIVED:
                 raise WrongState(submission.state)
             submission = self._transition(submission, STATE_RUNNING)
@@ -388,11 +388,11 @@ class Portal:
     def public_verify(self, token: str) -> PortalVerification:
         """Re-verify an archived proof and the archived package it names."""
         token_path = self._tokens_dir / token
-        if not token_path.is_file():
+        if not _is_hex_id(token) or not token_path.is_file():
             raise UnknownToken(token)
         submission_id = token_path.read_text(encoding="ascii").strip()
         try:
-            submission = self._load_submission(submission_id)
+            submission = self.get_submission(submission_id)
         except UnknownSubmission:
             raise UnknownToken(token) from None
         # token must be the one the commit recorded; a stale token file from
@@ -428,18 +428,13 @@ class Portal:
 
     def _verify_archived_package(self, bundle: ProofBundle, submission: Submission) -> Verdict:
         """Recompute the package digest from archived bytes, not trusting the record."""
-        raw = self.blobs.get_unverified(submission.archive_blob)
-        if hashlib.sha256(raw).hexdigest() != submission.archive_blob:
-            return Verdict.reject(DIGEST_MISMATCH, "archived package blob fails its content address")
-        scratch = Path(tempfile.mkdtemp(prefix="attestrep-verify-"))
         try:
-            try:
-                unpack_archive(raw, scratch, max_bytes=self.config.max_archive_bytes)
-            except ArchiveMalformed as exc:
-                return Verdict.reject(DIGEST_MISMATCH, f"archived package unreadable: {exc}")
-            return verify_against_archive(bundle, digest_package(scratch))
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+            archived = digest_archive(self.blobs.get(submission.archive_blob), self.config.max_archive_bytes)
+        except BlobCorrupt:
+            return Verdict.reject(DIGEST_MISMATCH, "archived package blob fails its content address")
+        except ArchiveMalformed as exc:
+            return Verdict.reject(DIGEST_MISMATCH, f"archived package unreadable: {exc}")
+        return verify_against_archive(bundle, archived.value)
 
     def verify_bundle_bytes(self, data: bytes) -> Verdict:
         """Stateless verification of caller-supplied bundle bytes."""

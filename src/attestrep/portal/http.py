@@ -46,6 +46,8 @@ def _error_status(exc: Exception) -> int:
 class PortalRequestHandler(BaseHTTPRequestHandler):
     server: "PortalHTTPServer"
     protocol_version = "HTTP/1.1"
+    # headers and body are two sends: with Nagle on, each waits for the client's delayed ACK
+    disable_nagle_algorithm = True
 
     @property
     def portal(self) -> Portal:

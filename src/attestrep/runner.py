@@ -2,9 +2,10 @@
 
 The original tree is never touched: the entrypoint runs inside a fresh copy
 with a scrubbed environment (PATH/HOME/LANG allowlist), stdout and stderr
-stream to log files beside the copy, and declared outputs are snapshotted
-and digested after the run. Copy-on-run substitutes for VM/container
-isolation at desk scale; the data flow and proof binding are the same.
+stream to log files beside the copy, and declared outputs are digested
+while they are snapshotted after the run. Copy-on-run substitutes for
+VM/container isolation at desk scale; the data flow and proof binding are
+the same.
 
 Sandbox layout under ``work_dir``::
 
@@ -29,7 +30,13 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from attestrep.package_model import PackageDigest, PackageManifest, digest_package
+from attestrep.package_model import (
+    PackageDigest,
+    PackageManifest,
+    digest_entries,
+    digest_package,
+    file_sha256,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +44,7 @@ ENV_ALLOWLIST = ("PATH", "HOME", "LANG")
 
 _GIB = Decimal(1 << 30)
 _CENTS4 = Decimal("0.0001")
+_CHUNK = 1 << 20
 
 
 class RunnerError(Exception):
@@ -161,24 +169,24 @@ def _collect_outputs(tree: Path, patterns: tuple[str, ...]) -> list[str]:
     return sorted(matched)
 
 
-def _snapshot_outputs(tree: Path, rel_paths: list[str], snapshot: Path) -> int:
+def _snapshot_outputs(tree: Path, rel_paths: list[str], snapshot: Path, max_bytes: int) -> PackageDigest:
+    """Copy the matched outputs into ``snapshot``, hashing each chunk on the way; their digest."""
+    entries = []
     total = 0
     for rel in rel_paths:
-        src = tree / rel
         dst = snapshot / rel
         dst.parent.mkdir(parents=True, exist_ok=True)
-        data = src.read_bytes()
-        dst.write_bytes(data)
-        total += len(data)
-    return total
-
-
-def _sha256_file(path: Path) -> bytes:
-    hasher = hashlib.sha256()
-    with path.open("rb") as fh:
-        while chunk := fh.read(1 << 20):
-            hasher.update(chunk)
-    return hasher.digest()
+        hasher = hashlib.sha256()
+        start = total
+        with (tree / rel).open("rb") as src, dst.open("wb") as out:
+            while chunk := src.read(_CHUNK):
+                total += len(chunk)
+                if total > max_bytes:
+                    raise OutputLimitExceeded(total, max_bytes)
+                hasher.update(chunk)
+                out.write(chunk)
+        entries.append((rel, hasher.digest(), total - start))
+    return digest_entries(entries)
 
 
 def execute(
@@ -247,18 +255,15 @@ def execute(
     if snapshot.exists():
         shutil.rmtree(snapshot)
     snapshot.mkdir()
-    total_output_bytes = _snapshot_outputs(tree, matched, snapshot)
-    if total_output_bytes > limits.max_output_bytes:
-        raise OutputLimitExceeded(total_output_bytes, limits.max_output_bytes)
-    output_digest = digest_package(snapshot)
+    output_digest = _snapshot_outputs(tree, matched, snapshot, limits.max_output_bytes)
 
     return ExecutionRecord(
         package_digest=package_digest,
         output_digest=output_digest,
         exit_status=exit_status,
         wall_seconds=wall_seconds,
-        stdout_log_digest=_sha256_file(stdout_log),
-        stderr_log_digest=_sha256_file(stderr_log),
+        stdout_log_digest=file_sha256(stdout_log)[0],
+        stderr_log_digest=file_sha256(stderr_log)[0],
         started_at=started_at,
         finished_at=finished_at,
         nonce=nonce,

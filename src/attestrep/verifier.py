@@ -23,7 +23,6 @@ from attestrep.bundle import (
     compute_report_data,
     parse_bundle,
 )
-from attestrep.package_model import PackageDigest
 
 PARSE_ERROR = "ParseError"
 VERSION_UNSUPPORTED = "VersionUnsupported"
@@ -126,14 +125,15 @@ def verify_bundle(data: bytes, trust_roots: Iterable[bytes | str], now: int) -> 
     return Verdict.accept()
 
 
-def verify_against_archive(bundle: ProofBundle, archived_package_digest: PackageDigest) -> Verdict:
+def verify_against_archive(bundle: ProofBundle, archived_digest: bytes) -> Verdict:
     """Second-stage check: the proof speaks about the archived package.
 
-    Callers must have Accepted the bundle via verify_bundle first.
+    ``archived_digest`` is the archived tree's 32-byte digest value. Callers
+    must have Accepted the bundle via verify_bundle first.
     """
-    if bundle.package_digest.value != archived_package_digest.value:
+    if bundle.package_digest.value != archived_digest:
         return Verdict.reject(
             DIGEST_MISMATCH,
-            f"bundle attests {bundle.package_digest.hex}, archive holds {archived_package_digest.hex}",
+            f"bundle attests {bundle.package_digest.hex}, archive holds {archived_digest.hex()}",
         )
     return Verdict.accept()

@@ -1,0 +1,140 @@
+"""The in-memory archive digest against the tree walker, the unpacker and the oracle."""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import random
+import tarfile
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from attestrep.archive import ArchiveMalformed, digest_archive, pack_tree, unpack_archive
+from attestrep.package_model import digest_package
+from oracles import naive_tree_digest
+
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "answer42"
+# SHA-256 of pack_tree(fixtures/answer42), frozen before pack_tree moved onto the
+# package walker: the archive bytes of a tree must never change
+ANSWER42_TAR_SHA256 = "e394391742b567be8dbf90b5e8947182460ae6e6b79dca87eae22f9272f14c5f"
+
+
+def make_tar(members: list[tuple[str, bytes | None]]) -> bytes:
+    """A tar of ``(name, content)`` members in order; ``None`` content is a directory.
+
+    Names are written verbatim, so a lone surrogate such as ``\\udcff`` becomes
+    the raw byte 0xff.
+    """
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w", format=tarfile.GNU_FORMAT, encoding="utf-8") as tar:
+        for name, content in members:
+            info = tarfile.TarInfo(name)
+            if content is None:
+                info.type = tarfile.DIRTYPE
+                tar.addfile(info)
+            else:
+                info.size = len(content)
+                tar.addfile(info, io.BytesIO(content))
+    return buffer.getvalue()
+
+
+def _random_tree(rng: random.Random, root: Path) -> Path:
+    names = ["a", "b", "Z", "a-b", "a.b", "é", "日本", "~"]
+    root.mkdir(parents=True)
+    for i in range(rng.randint(0, 25)):
+        parts = [rng.choice(names) for _ in range(rng.randint(0, 3))] + [f"{rng.choice(names)}{i}"]
+        target = root.joinpath(*parts)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(rng.randbytes(rng.randint(0, 3000)))
+        if rng.random() < 0.3:
+            target.chmod(0o755)
+    return root
+
+
+def test_pack_tree_bytes_frozen() -> None:
+    assert hashlib.sha256(pack_tree(FIXTURE)).hexdigest() == ANSWER42_TAR_SHA256
+
+
+def test_digest_archive_matches_oracle_on_random_trees(tmp_path: Path) -> None:
+    rng = random.Random(0xA7C41)
+    for i in range(40):
+        tree = _random_tree(rng, tmp_path / f"t{i}")
+        digest = digest_archive(pack_tree(tree))
+        assert digest.value.hex() == naive_tree_digest(str(tree))
+        assert digest == digest_package(tree)
+
+
+def test_digest_archive_streams_large_members(tmp_path: Path) -> None:
+    (tmp_path / "big.bin").write_bytes(random.Random(3).randbytes(3 * (1 << 20) + 17))
+    digest = digest_archive(pack_tree(tmp_path))
+    assert digest.value.hex() == naive_tree_digest(str(tmp_path))
+    assert digest.total_bytes == 3 * (1 << 20) + 17
+
+
+def test_digest_archive_ignores_directory_members_and_dot_slash() -> None:
+    plain = digest_archive(make_tar([("a/b.txt", b"1"), ("c", b"2")]))
+    dotted = digest_archive(make_tar([("./a", None), ("./a/b.txt", b"1"), ("./c", b"2"), ("empty", None)]))
+    assert plain == dotted
+    assert plain.file_count == 2 and plain.total_bytes == 2
+
+
+def test_digest_archive_size_cap() -> None:
+    data = make_tar([("a", b"12345"), ("b", b"6789")])
+    assert digest_archive(data, max_bytes=9).total_bytes == 9
+    with pytest.raises(ArchiveMalformed):
+        digest_archive(data, max_bytes=8)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [("a", b"1"), ("a/b", b"2")],
+        [("a/b", b"2"), ("a", b"1")],
+        [("a", None), ("a", b"1")],
+        [("dup", b"1"), ("dup", b"2")],
+        [("./dup", b"1"), ("dup", b"2")],
+        [("x/", b"1")],
+        [("\udcff.txt", b"1")],
+        [("d\udcff", None)],
+        [("../evil", b"1")],
+    ],
+    ids=["file-then-child", "child-then-file", "dir-then-file", "duplicate", "dot-slash-duplicate",
+         "regular-trailing-slash", "non-utf8-file", "non-utf8-dir", "traversal"],
+)
+def test_digest_archive_refuses_ambiguous_members(members) -> None:
+    with pytest.raises(ArchiveMalformed):
+        digest_archive(make_tar(members))
+
+
+# mostly good names, so that many lists are accepted; the rare ones break a rule
+_SEGMENTS = st.sampled_from(["a", "b", "c", "d", "é"] * 3 + ["\udcff", "."])
+_MEMBERS = st.lists(
+    st.tuples(
+        st.sampled_from(["", "./"]),
+        st.lists(_SEGMENTS, min_size=1, max_size=3).map("/".join),
+        st.sampled_from(["", "", "", "", "/"]),
+        st.one_of(st.none(), st.binary(max_size=16)),
+    ).map(lambda parts: (parts[0] + parts[1] + parts[2], parts[3])),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MEMBERS)
+def test_digest_archive_agrees_with_unpacked_tree(members) -> None:
+    data = make_tar(members)
+    with tempfile.TemporaryDirectory() as scratch:
+        try:
+            unpack_archive(data, scratch)
+            expected = digest_package(scratch)
+        except ArchiveMalformed:
+            expected = None
+    try:
+        got = digest_archive(data)
+    except ArchiveMalformed:
+        got = None
+    assert got == expected

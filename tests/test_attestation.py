@@ -11,7 +11,6 @@ from attestrep.attestation import (
     BadReportDataLength,
     BadSeedLength,
     ProviderConfig,
-    init_provider,
     key_fingerprint,
 )
 
@@ -26,7 +25,7 @@ GOLDEN_QUOTE_SIG = (
 
 
 def _zero_provider() -> AttestationProvider:
-    return init_provider(ProviderConfig(root_secret_seed=b"\x00" * 32), now=0)
+    return AttestationProvider(ProviderConfig(root_secret_seed=b"\x00" * 32), now=0)
 
 
 def test_zero_seed_keys_are_stable() -> None:
@@ -43,8 +42,8 @@ def test_short_seed_rejected() -> None:
 
 
 def test_distinct_seeds_distinct_roots() -> None:
-    one = init_provider(ProviderConfig(root_secret_seed=b"\x01" * 32), now=0)
-    two = init_provider(ProviderConfig(root_secret_seed=b"\x02" * 32), now=0)
+    one = AttestationProvider(ProviderConfig(root_secret_seed=b"\x01" * 32), now=0)
+    two = AttestationProvider(ProviderConfig(root_secret_seed=b"\x02" * 32), now=0)
     assert one.root_public_key != two.root_public_key
     assert one.attestation_public_key != two.attestation_public_key
 
@@ -77,7 +76,7 @@ def test_different_measurements_different_signatures() -> None:
 
 def test_quote_verifies_under_attestation_key_only() -> None:
     provider = _zero_provider()
-    other = init_provider(ProviderConfig(root_secret_seed=b"\x03" * 32), now=0)
+    other = AttestationProvider(ProviderConfig(root_secret_seed=b"\x03" * 32), now=0)
     quote = provider.sign_quote(b"\x11" * 32, b"\x22" * 64, now=5)
     assert quote.verify_signature(provider.attestation_public_key)
     assert not quote.verify_signature(other.attestation_public_key)
@@ -122,12 +121,12 @@ class TestEndorsementChain:
 
     def test_chain_does_not_verify_under_other_root(self) -> None:
         ours = _zero_provider().export_chain()
-        other = init_provider(ProviderConfig(root_secret_seed=b"\x04" * 32), now=0)
+        other = AttestationProvider(ProviderConfig(root_secret_seed=b"\x04" * 32), now=0)
         assert not ours.attestation_endorsement.verify(other.root_public_key)
         assert ours.attestation_endorsement.verify(ours.root_statement.root_public_key)
 
     def test_validity_window_from_config(self) -> None:
-        provider = init_provider(
+        provider = AttestationProvider(
             ProviderConfig(root_secret_seed=b"\x00" * 32, attestation_validity=100), now=1000
         )
         endorsement = provider.export_chain().attestation_endorsement

@@ -4,7 +4,7 @@ import math
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attestrep.economics import (
@@ -213,6 +213,7 @@ class TestStringency:
         m=st.floats(min_value=1.01, max_value=8.0),
         b=st.floats(min_value=1e-6, max_value=1e3),
     )
+    @example(k=1e-3, m=1.01, b=2.0)  # (b / (k * m)) ** 100 overflows a float
     def test_interior_whenever_benefit_below_marginal_cost_at_one(self, k, m, b) -> None:
         result = stringency_optimum(StringencyParams(cost_scale=k, cost_exponent=m, benefit_slope=b))
         assert 0.0 <= result.v_star <= 1.0

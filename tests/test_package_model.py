@@ -159,6 +159,15 @@ def test_special_file_refused(tmp_path: Path) -> None:
         digest_package(tmp_path)
 
 
+def test_non_utf8_file_name_refused(tmp_path: Path) -> None:
+    (tmp_path / "ok.txt").write_bytes(b"x")
+    (tmp_path / "d").mkdir()
+    with open(os.path.join(os.fsencode(tmp_path / "d"), b"\xff.txt"), "wb") as fh:
+        fh.write(b"y")
+    with pytest.raises(PathRuleViolation):
+        digest_package(tmp_path)
+
+
 def test_digest_value_must_be_32_bytes() -> None:
     with pytest.raises(ValueError):
         PackageDigest(value=b"\x00" * 31, file_count=0, total_bytes=0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import tarfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from attestrep.archive import ArchiveMalformed, pack_tree, unpack_archive
 from attestrep.bundle import parse_bundle
-from attestrep.package_model import ManifestMissing, digest_package
+from attestrep.package_model import ManifestMissing, PathRuleViolation, UnreadableFile, digest_package
 from attestrep.portal import (
     BlobCorrupt,
     BlobMissing,
@@ -35,6 +36,17 @@ def portal(tmp_path: Path) -> Portal:
 @pytest.fixture
 def archive(tmp_path: Path) -> bytes:
     return pack_tree(make_package(tmp_path / "answer42"))
+
+
+def _tar(members: list[tuple[str, bytes]]) -> bytes:
+    """Regular-file members written verbatim and in order; ``\\udcff`` is the byte 0xff."""
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w", encoding="utf-8") as tar:
+        for name, content in members:
+            info = tarfile.TarInfo(name=name)
+            info.size = len(content)
+            tar.addfile(info, io.BytesIO(content))
+    return buffer.getvalue()
 
 
 class TestArchive:
@@ -74,6 +86,37 @@ class TestArchive:
     def test_size_cap(self, tmp_path: Path, archive: bytes) -> None:
         with pytest.raises(ArchiveMalformed):
             unpack_archive(archive, tmp_path / "out", max_bytes=4)
+
+    @pytest.mark.parametrize("names", [["a", "a/b"], ["a/b", "a"]], ids=["file-then-child", "child-then-file"])
+    def test_rejects_file_that_is_also_a_directory(self, tmp_path: Path, names: list[str]) -> None:
+        with pytest.raises(ArchiveMalformed):
+            unpack_archive(_tar([(name, b"x") for name in names]), tmp_path / "out")
+
+    @pytest.mark.parametrize("names", [["dup", "dup"], ["./dup", "dup"]], ids=["same", "dot-slash"])
+    def test_rejects_duplicate_members(self, tmp_path: Path, names: list[str]) -> None:
+        with pytest.raises(ArchiveMalformed):
+            unpack_archive(_tar([(name, bytes([i])) for i, name in enumerate(names)]), tmp_path / "out")
+
+    def test_rejects_regular_member_with_trailing_slash(self, tmp_path: Path) -> None:
+        with pytest.raises(ArchiveMalformed):
+            unpack_archive(_tar([("x/", b"x")]), tmp_path / "out")
+
+    def test_rejects_non_utf8_member(self, tmp_path: Path) -> None:
+        with pytest.raises(ArchiveMalformed):
+            unpack_archive(_tar([("\udcff.txt", b"x")]), tmp_path / "out")
+
+    def test_pack_refuses_non_utf8_name(self, tmp_path: Path) -> None:
+        package = make_package(tmp_path / "pkg")
+        with open(os.path.join(os.fsencode(package), b"\xff.txt"), "wb") as fh:
+            fh.write(b"x")
+        with pytest.raises(PathRuleViolation):
+            pack_tree(package)
+
+    def test_pack_refuses_fifo(self, tmp_path: Path) -> None:
+        package = make_package(tmp_path / "pkg")
+        os.mkfifo(package / "pipe")
+        with pytest.raises(UnreadableFile):
+            pack_tree(package)
 
 
 class TestBlobStore:
@@ -144,6 +187,17 @@ class TestSubmit:
         with pytest.raises(ArchiveMalformed):
             portal.submit(b"not a tar")
 
+    @pytest.mark.parametrize(
+        "extra",
+        [[("a", b"1"), ("a/b", b"2")], [("\udcff.txt", b"1")]],
+        ids=["file-then-child", "non-utf8-name"],
+    )
+    def test_ambiguous_archive_is_malformed(self, portal: Portal, extra) -> None:
+        manifest = ("attestrep.manifest", b"entrypoint = run.sh\noutput = out.txt\n")
+        with pytest.raises(ArchiveMalformed):
+            portal.submit(_tar([manifest, ("run.sh", b"echo 1 > out.txt\n"), *extra]))
+        assert not list((portal.store_dir / "quarantine").iterdir())
+
 
 class TestProcess:
     def test_success_path(self, portal: Portal, archive: bytes) -> None:
@@ -182,6 +236,14 @@ class TestProcess:
         with pytest.raises(UnknownSubmission):
             portal.process("ff" * 32)
 
+    @pytest.mark.parametrize("bad", ["../provider", "FF" * 32, "f" * 63, "f" * 65, "", "../submissions/" + "f" * 49])
+    def test_ids_that_are_not_lowercase_hex_are_unknown(self, portal: Portal, bad: str) -> None:
+        with pytest.raises(UnknownSubmission):
+            portal.get_submission(bad)
+        with pytest.raises(UnknownSubmission):
+            portal.process(bad)
+        assert portal._submission_locks == {}
+
 
 class TestPublicVerify:
     def test_accepts_archived_proof(self, portal: Portal, archive: bytes) -> None:
@@ -195,6 +257,26 @@ class TestPublicVerify:
     def test_unknown_token(self, portal: Portal) -> None:
         with pytest.raises(UnknownToken):
             portal.public_verify("aa" * 32)
+
+    def test_tokens_that_are_not_lowercase_hex_are_unknown(self, portal: Portal, archive: bytes) -> None:
+        done = portal.process(portal.submit(archive, author_id="alice").submission_id)
+        for bad in (done.token.upper(), done.token[:-1], "../tokens/" + done.token, "../provider.json"):
+            with pytest.raises(UnknownToken):
+                portal.public_verify(bad)
+
+    def test_digests_archive_in_memory(self, portal: Portal, archive: bytes, monkeypatch) -> None:
+        import attestrep.portal.core as core
+
+        done = portal.process(portal.submit(archive, author_id="alice").submission_id)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("public_verify must not touch the file system for the archive")
+
+        monkeypatch.setattr(core, "unpack_archive", forbidden)
+        monkeypatch.setattr(core.tempfile, "mkdtemp", forbidden)
+        result = portal.public_verify(done.token)
+        assert result.verdict.accepted
+        assert result.package_digest == digest_package(portal.store_dir / "quarantine" / done.submission_id)
 
     def test_stale_token_file_not_served(self, portal: Portal, archive: bytes) -> None:
         # a leftover token file from an interrupted run must not resolve to

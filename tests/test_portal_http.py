@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import http.client
+import io
+import statistics
+import tarfile
 import threading
+import time
 from pathlib import Path
+from urllib.parse import urlparse
 
 import pytest
 import requests
@@ -123,6 +129,36 @@ def test_error_statuses(base_url: str, archive: bytes) -> None:
 
     # unknown route
     assert requests.get(f"{base_url}/v1/nope", timeout=10).status_code == 404
+
+
+def test_ambiguous_archive_is_400(base_url: str) -> None:
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w") as tar:
+        for name in ("a", "a/b"):
+            info = tarfile.TarInfo(name=name)
+            info.size = 1
+            tar.addfile(info, io.BytesIO(b"x"))
+    response = requests.post(f"{base_url}/v1/submissions", data=buffer.getvalue(), timeout=10)
+    assert response.status_code == 400
+    assert response.json()["error"] == "ArchiveMalformed"
+
+
+def test_keep_alive_requests_are_not_delayed(base_url: str, archive: bytes) -> None:
+    # a response written as two sends must not wait for the client's delayed ACK
+    _submit(base_url, archive)
+    connection = http.client.HTTPConnection(urlparse(base_url).netloc, timeout=10)
+    elapsed = []
+    try:
+        for _ in range(10):
+            start = time.perf_counter()
+            connection.request("GET", "/v1/audit-log?from_seq=0")
+            response = connection.getresponse()
+            response.read()
+            elapsed.append(time.perf_counter() - start)
+            assert response.status == 200
+    finally:
+        connection.close()
+    assert statistics.median(elapsed) < 0.020
 
 
 def test_concurrent_submissions(base_url: str, tmp_path: Path) -> None:

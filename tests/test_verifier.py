@@ -167,13 +167,13 @@ def test_completeness_fresh_bundles_accept(answer42: Path, tmp_path: Path, provi
 
 class TestVerifyAgainstArchive:
     def test_matching_digest_accepts(self, valid_bundle) -> None:
-        assert verify_against_archive(valid_bundle, valid_bundle.package_digest).accepted
+        assert verify_against_archive(valid_bundle, valid_bundle.package_digest.value).accepted
 
     def test_recomputed_from_disk_accepts(self, valid_bundle, answer42: Path) -> None:
         fresh = digest_package(answer42)
-        assert verify_against_archive(valid_bundle, fresh).accepted
+        assert verify_against_archive(valid_bundle, fresh.value).accepted
 
     def test_modified_package_rejects(self, valid_bundle, answer42: Path) -> None:
         (answer42 / "run.sh").write_text("#!/bin/sh\necho tampered\n")
-        verdict = verify_against_archive(valid_bundle, digest_package(answer42))
+        verdict = verify_against_archive(valid_bundle, digest_package(answer42).value)
         assert verdict.reason == DIGEST_MISMATCH
