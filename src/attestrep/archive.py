@@ -64,7 +64,7 @@ def _members(data: bytes, max_bytes: int) -> tuple[tarfile.TarFile, list[tuple[s
     total = 0
     for member in members:
         name = member.name[2:] if member.name.startswith("./") else member.name
-        if member.isdir() and not name:
+        if member.isdir() and name in ("", "."):  # the root itself, as `tar -cf - .` writes it
             continue
         if not (member.isdir() or (member.isreg() and not name.endswith("/"))):
             raise ArchiveMalformed(f"member {member.name!r} is not a regular file or directory")

@@ -7,9 +7,10 @@ is derived deterministically from a 32-byte seed so fixtures are stable; a
 real TDX/SEV-SNP backend would slot in behind the same surface with
 hardware-held keys and a vendor-issued chain.
 
-Signatures are Ed25519 (deterministic, 64 bytes); hashes are SHA-256. The
-signature covers the canonical JSON body of each structure minus its own
-``signature`` (and, for quotes, ``signing_key_id``) field.
+Signatures are Ed25519 (deterministic, 64 bytes); hashes are SHA-256. Each
+signed structure is a ``Wire`` field table; its signature covers the
+canonical JSON of its constant tags and of every field the table marks
+signed, which is all but ``signature`` (and, for quotes, ``signing_key_id``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from attestrep.canonical import canonical_json_bytes
+from attestrep.canonical import Wire, canonical_json_bytes, wire
 
 QUOTE_VERSION = 1
 SEED_SIZE = 32
@@ -32,6 +33,7 @@ MEASUREMENT_SIZE = 32
 REPORT_DATA_SIZE = 64
 SIGNATURE_SIZE = 64
 KEY_ID_SIZE = 32
+PUBLIC_KEY_SIZE = 32
 
 ROOT_STATEMENT_TYPE = "vendor-root-v1"
 ENDORSEMENT_STATEMENT_TYPE = "attestation-key-endorsement-v1"
@@ -89,95 +91,67 @@ class ProviderConfig:
             raise ValueError("attestation_validity must be positive seconds")
 
 
+class _Signed(Wire):
+    def canonical_body(self) -> bytes:
+        """Serialization the signature covers: the constant tags and every signed field."""
+        return canonical_json_bytes(self.to_dict(signed_only=True))
+
+
+def _sign(key: Ed25519PrivateKey, unsigned: _Signed):
+    """``unsigned`` with its signature field set to ``key``'s signature over its canonical body."""
+    return replace(unsigned, signature=key.sign(unsigned.canonical_body()))
+
+
 @dataclass(frozen=True)
-class AttestationQuote:
+class AttestationQuote(_Signed):
     """Signed measurement + report-data structure, one format version so far."""
 
     version: int
     provider_id: str
-    measurement: bytes
-    report_data: bytes
-    issued_at: int
-    signature: bytes
-    signing_key_id: bytes
-
-    def canonical_body(self) -> bytes:
-        """Serialization the signature covers (no signature/signing_key_id)."""
-        return canonical_json_bytes(
-            {
-                "version": self.version,
-                "provider_id": self.provider_id,
-                "measurement": self.measurement.hex(),
-                "report_data": self.report_data.hex(),
-                "issued_at": self.issued_at,
-            }
-        )
+    measurement: bytes = wire(hex_size=MEASUREMENT_SIZE)
+    report_data: bytes = wire(hex_size=REPORT_DATA_SIZE)
+    issued_at: int = wire(minimum=0)
+    signature: bytes = wire(hex_size=SIGNATURE_SIZE, signed=False)
+    signing_key_id: bytes = wire(hex_size=KEY_ID_SIZE, signed=False)
 
     def verify_signature(self, attestation_public_key: bytes) -> bool:
         if self.signing_key_id != key_fingerprint(attestation_public_key):
             return False
         return _verify_ed25519(attestation_public_key, self.signature, self.canonical_body())
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "provider_id": self.provider_id,
-            "measurement": self.measurement.hex(),
-            "report_data": self.report_data.hex(),
-            "issued_at": self.issued_at,
-            "signature": self.signature.hex(),
-            "signing_key_id": self.signing_key_id.hex(),
-        }
-
 
 @dataclass(frozen=True)
-class RootStatement:
+class RootStatement(_Signed):
     """Self-signed statement naming the simulated vendor root public key."""
 
-    provider_id: str
-    root_public_key: bytes
-    signature: bytes
+    TAGS = {"statement": ROOT_STATEMENT_TYPE}
 
-    def canonical_body(self) -> bytes:
-        return canonical_json_bytes(
-            {
-                "statement": ROOT_STATEMENT_TYPE,
-                "provider_id": self.provider_id,
-                "root_public_key": self.root_public_key.hex(),
-            }
-        )
+    provider_id: str
+    root_public_key: bytes = wire(hex_size=PUBLIC_KEY_SIZE)
+    signature: bytes = wire(hex_size=SIGNATURE_SIZE, signed=False)
 
     def verify(self) -> bool:
         return _verify_ed25519(self.root_public_key, self.signature, self.canonical_body())
 
 
 @dataclass(frozen=True)
-class AttestationEndorsement:
+class AttestationEndorsement(_Signed):
     """Root-signed endorsement of the attestation public key with a validity window."""
 
-    provider_id: str
-    attestation_public_key: bytes
-    not_before: int
-    not_after: int
-    signature: bytes
+    TAGS = {"statement": ENDORSEMENT_STATEMENT_TYPE}
 
-    def canonical_body(self) -> bytes:
-        return canonical_json_bytes(
-            {
-                "statement": ENDORSEMENT_STATEMENT_TYPE,
-                "provider_id": self.provider_id,
-                "attestation_public_key": self.attestation_public_key.hex(),
-                "not_before": self.not_before,
-                "not_after": self.not_after,
-            }
-        )
+    provider_id: str
+    attestation_public_key: bytes = wire(hex_size=PUBLIC_KEY_SIZE)
+    not_before: int = wire(minimum=0)
+    not_after: int = wire(minimum=0)
+    signature: bytes = wire(hex_size=SIGNATURE_SIZE, signed=False)
 
     def verify(self, root_public_key: bytes) -> bool:
         return _verify_ed25519(root_public_key, self.signature, self.canonical_body())
 
 
 @dataclass(frozen=True)
-class EndorsementChain:
+class EndorsementChain(Wire):
     root_statement: RootStatement
     attestation_endorsement: AttestationEndorsement
 
@@ -188,24 +162,6 @@ class EndorsementChain:
             and self.attestation_endorsement.not_before < self.attestation_endorsement.not_after
             and self.attestation_endorsement.verify(self.root_statement.root_public_key)
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "root_statement": {
-                "statement": ROOT_STATEMENT_TYPE,
-                "provider_id": self.root_statement.provider_id,
-                "root_public_key": self.root_statement.root_public_key.hex(),
-                "signature": self.root_statement.signature.hex(),
-            },
-            "attestation_endorsement": {
-                "statement": ENDORSEMENT_STATEMENT_TYPE,
-                "provider_id": self.attestation_endorsement.provider_id,
-                "attestation_public_key": self.attestation_endorsement.attestation_public_key.hex(),
-                "not_before": self.attestation_endorsement.not_before,
-                "not_after": self.attestation_endorsement.not_after,
-                "signature": self.attestation_endorsement.signature.hex(),
-            },
-        }
 
 
 class AttestationProvider:
@@ -226,20 +182,11 @@ class AttestationProvider:
 
         not_before = int(time.time()) if now is None else int(now)
         not_after = not_before + config.attestation_validity
-        root_stmt = RootStatement(
-            provider_id=config.provider_id,
-            root_public_key=self.root_public_key,
-            signature=b"",
+        root_stmt = _sign(self._root_key, RootStatement(config.provider_id, self.root_public_key, signature=b""))
+        endorsement = _sign(
+            self._root_key,
+            AttestationEndorsement(config.provider_id, self.attestation_public_key, not_before, not_after, signature=b""),
         )
-        root_stmt = replace(root_stmt, signature=self._root_key.sign(root_stmt.canonical_body()))
-        endorsement = AttestationEndorsement(
-            provider_id=config.provider_id,
-            attestation_public_key=self.attestation_public_key,
-            not_before=not_before,
-            not_after=not_after,
-            signature=b"",
-        )
-        endorsement = replace(endorsement, signature=self._root_key.sign(endorsement.canonical_body()))
         self._chain = EndorsementChain(root_statement=root_stmt, attestation_endorsement=endorsement)
 
     def sign_quote(self, measurement: bytes, report_data: bytes, now: int | None = None) -> AttestationQuote:
@@ -258,7 +205,7 @@ class AttestationProvider:
             signature=b"",
             signing_key_id=self.signing_key_id,
         )
-        return replace(unsigned, signature=self._attestation_key.sign(unsigned.canonical_body()))
+        return _sign(self._attestation_key, unsigned)
 
     def export_chain(self) -> EndorsementChain:
         return self._chain

@@ -88,20 +88,6 @@ def _emit(payload: dict, as_json: bool) -> None:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _record_dict(record) -> dict:
-    return {
-        "package_digest": record.package_digest.hex,
-        "output_digest": record.output_digest.hex,
-        "exit_status": record.exit_status,
-        "wall_seconds": record.wall_seconds,
-        "started_at": record.started_at,
-        "finished_at": record.finished_at,
-        "stdout_log_digest": record.stdout_log_digest.hex(),
-        "stderr_log_digest": record.stderr_log_digest.hex(),
-        "nonce": record.nonce.hex(),
-    }
-
-
 def _nonce_from_seed(seed: str) -> bytes:
     return hashlib.sha256(b"attestrep-nonce-seed:" + seed.encode("utf-8")).digest()
 
@@ -134,8 +120,12 @@ def _run_package(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     record, work_dir = _run_package(args)
-    payload = _record_dict(record)
-    payload["sandbox"] = str(work_dir)
+    payload = {
+        "package_digest": record.package_digest.hex,
+        "output_digest": record.output_digest.hex,
+        **record.summary().to_dict(),
+        "sandbox": str(work_dir),
+    }
     if args.json:
         _emit(payload, as_json=True)
     else:

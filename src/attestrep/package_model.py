@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from attestrep.canonical import Wire, wire
+
 MANIFEST_NAME = "attestrep.manifest"
 
 _CHUNK = 1 << 20
@@ -74,12 +76,12 @@ class PathRuleViolation(PackageError):
 
 
 @dataclass(frozen=True)
-class PackageDigest:
+class PackageDigest(Wire):
     """Canonical content digest of a package file tree."""
 
-    value: bytes
-    file_count: int
-    total_bytes: int
+    value: bytes = wire(hex_size=32)
+    file_count: int = wire(minimum=0)
+    total_bytes: int = wire(minimum=0)
 
     def __post_init__(self) -> None:
         if len(self.value) != 32:
@@ -90,9 +92,6 @@ class PackageDigest:
     @property
     def hex(self) -> str:
         return self.value.hex()
-
-    def to_dict(self) -> dict:
-        return {"value": self.value.hex(), "file_count": self.file_count, "total_bytes": self.total_bytes}
 
 
 @dataclass(frozen=True)

@@ -114,17 +114,12 @@ class Submission:
 
     @classmethod
     def from_dict(cls, obj: dict) -> Submission:
-        digest = obj["package_digest"]
         return cls(
             submission_id=obj["submission_id"],
             author_id=obj["author_id"],
             received_at=obj["received_at"],
             state=obj["state"],
-            package_digest=PackageDigest(
-                value=bytes.fromhex(digest["value"]),
-                file_count=digest["file_count"],
-                total_bytes=digest["total_bytes"],
-            ),
+            package_digest=PackageDigest.from_dict(obj["package_digest"], "package_digest"),
             archive_blob=obj["archive_blob"],
             bundle_blob=obj.get("bundle_blob"),
             token=obj.get("token"),
@@ -430,8 +425,8 @@ class Portal:
         """Recompute the package digest from archived bytes, not trusting the record."""
         try:
             archived = digest_archive(self.blobs.get(submission.archive_blob), self.config.max_archive_bytes)
-        except BlobCorrupt:
-            return Verdict.reject(DIGEST_MISMATCH, "archived package blob fails its content address")
+        except (BlobCorrupt, BlobMissing):
+            return Verdict.reject(DIGEST_MISMATCH, "archived package blob is missing or fails its content address")
         except ArchiveMalformed as exc:
             return Verdict.reject(DIGEST_MISMATCH, f"archived package unreadable: {exc}")
         return verify_against_archive(bundle, archived.value)

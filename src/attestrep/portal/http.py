@@ -120,7 +120,7 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
             payload = json.loads(body.decode("utf-8"))
             if isinstance(payload, dict) and "token" in payload:
                 token = payload["token"]
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):  # not a token request: the bundle parser names the fault
             pass
         if token is not None:
             result = self.portal.public_verify(str(token))

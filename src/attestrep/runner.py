@@ -26,10 +26,11 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
+from attestrep.canonical import Wire, wire
 from attestrep.package_model import (
     PackageDigest,
     PackageManifest,
@@ -86,18 +87,24 @@ class ExecutionLimits:
 
 
 @dataclass(frozen=True)
-class ExecutionRecord:
-    """Immutable record of one sandboxed run."""
+class ExecutionSummary(Wire):
+    """What a run states about itself inside a proof bundle."""
+
+    exit_status: int
+    wall_seconds: float = wire(minimum=0)
+    started_at: int = wire(minimum=0)
+    finished_at: int = wire(minimum=0)
+    stdout_log_digest: bytes = wire(hex_size=32)
+    stderr_log_digest: bytes = wire(hex_size=32)
+    nonce: bytes = wire(hex_size=32)
+
+
+@dataclass(frozen=True)
+class ExecutionRecord(ExecutionSummary):
+    """Immutable record of one sandboxed run: its summary and the two tree digests."""
 
     package_digest: PackageDigest
     output_digest: PackageDigest
-    exit_status: int
-    wall_seconds: float
-    stdout_log_digest: bytes
-    stderr_log_digest: bytes
-    started_at: int
-    finished_at: int
-    nonce: bytes
 
     def __post_init__(self) -> None:
         if self.finished_at < self.started_at:
@@ -108,6 +115,10 @@ class ExecutionRecord:
             raise ValueError("nonce must be 32 bytes")
         if len(self.stdout_log_digest) != 32 or len(self.stderr_log_digest) != 32:
             raise ValueError("log digests must be 32 bytes")
+
+    def summary(self) -> ExecutionSummary:
+        """The record without its two tree digests."""
+        return ExecutionSummary(**{f.name: getattr(self, f.name) for f in fields(ExecutionSummary)})
 
 
 @dataclass(frozen=True)
@@ -210,7 +221,8 @@ def execute(
     if len(nonce) != 32:
         raise ValueError("nonce must be 32 bytes")
 
-    work = Path(work_dir) if work_dir is not None else Path(tempfile.mkdtemp(prefix="attestrep-run-"))
+    # absolute: the child runs in the sandbox, so a relative entrypoint path would miss it
+    work = Path(work_dir).absolute() if work_dir is not None else Path(tempfile.mkdtemp(prefix="attestrep-run-"))
     work.mkdir(parents=True, exist_ok=True)
     tree = work / "tree"
     if tree.exists():

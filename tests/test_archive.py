@@ -82,6 +82,31 @@ def test_digest_archive_ignores_directory_members_and_dot_slash() -> None:
     assert plain.file_count == 2 and plain.total_bytes == 2
 
 
+def _dot_root_tar(root: Path) -> bytes:
+    """What ``tar -C root -cf - .`` writes: a ``.`` directory member, then ``./``-prefixed members."""
+    buffer = io.BytesIO()
+    with tarfile.open(fileobj=buffer, mode="w", format=tarfile.GNU_FORMAT) as tar:
+        tar.add(root, arcname=".")
+    return buffer.getvalue()
+
+
+def test_archive_of_dot_is_read_like_its_tree(tmp_path: Path) -> None:
+    data = _dot_root_tar(FIXTURE)
+    assert tarfile.open(fileobj=io.BytesIO(data)).getnames()[0] == "."
+    assert digest_archive(data) == digest_package(FIXTURE)
+    unpack_archive(data, tmp_path / "out")
+    assert digest_package(tmp_path / "out") == digest_package(FIXTURE)
+
+
+@pytest.mark.parametrize("name", [".", "./."])
+def test_regular_member_named_dot_is_refused(tmp_path: Path, name: str) -> None:
+    data = make_tar([(name, b"x"), ("a", b"1")])
+    with pytest.raises(ArchiveMalformed):
+        digest_archive(data)
+    with pytest.raises(ArchiveMalformed):
+        unpack_archive(data, tmp_path / "out")
+
+
 def test_digest_archive_size_cap() -> None:
     data = make_tar([("a", b"12345"), ("b", b"6789")])
     assert digest_archive(data, max_bytes=9).total_bytes == 9

@@ -244,6 +244,16 @@ class TestProcess:
             portal.process(bad)
         assert portal._submission_locks == {}
 
+    @pytest.mark.parametrize("executable", [False, True], ids=["sh-entrypoint", "exec-entrypoint"])
+    def test_relative_store_dir(self, tmp_path: Path, monkeypatch, executable: bool) -> None:
+        package = make_package(tmp_path / "pkg")
+        (package / "run.sh").chmod(0o755 if executable else 0o644)
+        monkeypatch.chdir(tmp_path)
+        portal = Portal("store", provider_seed=PROVIDER_SEED)
+        done = portal.process(portal.submit(pack_tree(package)).submission_id)
+        assert done.state == "Proved", done.failure_reason
+        assert portal.public_verify(done.token).verdict.accepted
+
 
 class TestPublicVerify:
     def test_accepts_archived_proof(self, portal: Portal, archive: bytes) -> None:
@@ -295,6 +305,13 @@ class TestPublicVerify:
         data = bytearray(blob_path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         blob_path.write_bytes(bytes(data))
+        result = portal.public_verify(done.token)
+        assert not result.verdict.accepted
+        assert result.verdict.reason == DIGEST_MISMATCH
+
+    def test_missing_package_blob_rejected(self, portal: Portal, archive: bytes) -> None:
+        done = portal.process(portal.submit(archive, author_id="alice").submission_id)
+        portal.blobs.path(done.archive_blob).unlink()
         result = portal.public_verify(done.token)
         assert not result.verdict.accepted
         assert result.verdict.reason == DIGEST_MISMATCH

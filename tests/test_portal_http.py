@@ -17,6 +17,7 @@ from attestrep.bundle import parse_bundle
 from attestrep.portal import Portal, make_server
 from attestrep.verifier import verify_bundle
 from conftest import PROVIDER_SEED, make_package
+from test_bundle_schema import HOSTILE
 
 
 @pytest.fixture
@@ -141,6 +142,22 @@ def test_ambiguous_archive_is_400(base_url: str) -> None:
     response = requests.post(f"{base_url}/v1/submissions", data=buffer.getvalue(), timeout=10)
     assert response.status_code == 400
     assert response.json()["error"] == "ArchiveMalformed"
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_verify_body_is_a_parse_error(base_url: str, name: str) -> None:
+    response = requests.post(f"{base_url}/v1/verify", data=HOSTILE[name], timeout=10)
+    assert response.status_code == 200, response.text
+    assert (response.json()["verdict"], response.json()["reason"]) == ("Reject", "ParseError")
+
+
+def test_verify_by_token_with_missing_package_blob(base_url: str, archive: bytes, portal: Portal) -> None:
+    submission_id = _submit(base_url, archive)
+    done = requests.post(f"{base_url}/v1/submissions/{submission_id}/process", timeout=30).json()
+    portal.blobs.path(done["archive_blob"]).unlink()
+    response = requests.post(f"{base_url}/v1/verify", json={"token": done["token"]}, timeout=10)
+    assert response.status_code == 200, response.text
+    assert response.json()["reason"] == "DigestMismatch"
 
 
 def test_keep_alive_requests_are_not_delayed(base_url: str, archive: bytes) -> None:
