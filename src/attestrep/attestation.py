@@ -155,14 +155,6 @@ class EndorsementChain(Wire):
     root_statement: RootStatement
     attestation_endorsement: AttestationEndorsement
 
-    def verify(self) -> bool:
-        """Chain self-consistency; trusting the root is the caller's decision."""
-        return (
-            self.root_statement.verify()
-            and self.attestation_endorsement.not_before < self.attestation_endorsement.not_after
-            and self.attestation_endorsement.verify(self.root_statement.root_public_key)
-        )
-
 
 class AttestationProvider:
     """Holds the derived key pair hierarchy; read-only after construction.

@@ -4,16 +4,20 @@ State and artifacts live in one store directory::
 
     provider.json        simulated provider seed and chain anchor time
     blobs/               content-addressed archives and proof bundles
-    submissions/<id>.json
-    tokens/<token>       token -> submission id
+    submissions/<id>.json  one record per submission; a Proved one holds its token
     quarantine/<id>/     unpacked package trees
     runs/<id>/           runner sandboxes and logs
     audit.log            hash-chained event log
 
-Crash safety: the bundle blob and token file are written before the
-submission record flips to Proved; the atomic record replace is the commit
-point. On startup any submission stuck in Running is swept back to
-Received, so observable states after a crash are Received or terminal.
+One ``Portal`` owns a store: it reads every record once when it opens and
+then serves ids and tokens from memory, so two portals must not share a
+store. Crash safety: each record is written to a temp file and renamed over
+the old one; that rename is the commit point, and the in-memory tables
+change only after it. The bundle blob is written before the record flips
+to Proved, so a token resolves only once its proof is committed. On
+startup any submission stuck in Running is swept back to Received, so
+observable states after a crash are Received or terminal. A ``tokens/``
+directory left by older versions is ignored.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from attestrep.bundle import BundleError, ProofBundle, build_bundle, parse_bundl
 from attestrep.canonical import canonical_json_bytes
 from attestrep.package_model import PackageDigest, PackageError, digest_package, load_manifest
 from attestrep.portal.audit import AuditCheck, AuditLog, audit_check
-from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore
+from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore, atomic_write
 from attestrep.runner import ExecutionLimits, RunnerError, execute
 from attestrep.verifier import DIGEST_MISMATCH, Verdict, verify_against_archive, verify_bundle
 
@@ -100,31 +104,11 @@ class Submission:
     failure_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "submission_id": self.submission_id,
-            "author_id": self.author_id,
-            "received_at": self.received_at,
-            "state": self.state,
-            "package_digest": self.package_digest.to_dict(),
-            "archive_blob": self.archive_blob,
-            "bundle_blob": self.bundle_blob,
-            "token": self.token,
-            "failure_reason": self.failure_reason,
-        }
+        return {**vars(self), "package_digest": self.package_digest.to_dict()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> Submission:
-        return cls(
-            submission_id=obj["submission_id"],
-            author_id=obj["author_id"],
-            received_at=obj["received_at"],
-            state=obj["state"],
-            package_digest=PackageDigest.from_dict(obj["package_digest"], "package_digest"),
-            archive_blob=obj["archive_blob"],
-            bundle_blob=obj.get("bundle_blob"),
-            token=obj.get("token"),
-            failure_reason=obj.get("failure_reason"),
-        )
+        return cls(**{**obj, "package_digest": PackageDigest.from_dict(obj["package_digest"], "package_digest")})
 
 
 @dataclass(frozen=True)
@@ -156,11 +140,6 @@ class PortalConfig:
     extra_trust_roots: tuple[bytes, ...] = ()
 
 
-def _is_hex_id(text: str) -> bool:
-    """Submission ids and tokens are 64 lowercase hex digits, never paths."""
-    return len(text) == 64 and not text.strip("0123456789abcdef")
-
-
 def _submission_id(package_digest: PackageDigest, received_at: int, author_id: str) -> str:
     material = package_digest.value + received_at.to_bytes(8, "big") + author_id.encode("utf-8")
     return hashlib.sha256(material).hexdigest()
@@ -169,9 +148,12 @@ def _submission_id(package_digest: PackageDigest, received_at: int, author_id: s
 class Portal:
     """One store directory, any number of concurrent callers.
 
-    Audit appends are serialized by the log's own lock; per-submission
-    operations are mutually exclusive via per-id locks; distinct
-    submissions process in parallel.
+    Records live in memory as ``id -> Submission`` and ``token -> id``,
+    loaded once from the store. One lock covers the two steps that must not
+    interleave: ``submit``'s duplicate check and insert, and ``process``'s
+    claim of a Received submission. Packages run with no lock held, so
+    distinct submissions process in parallel. Audit appends are serialized
+    by the log's own lock.
     """
 
     def __init__(
@@ -188,19 +170,18 @@ class Portal:
         self.blobs = BlobStore(self.store_dir / "blobs")
         self.audit_log = AuditLog(self.store_dir / "audit.log")
         self._submissions_dir = self.store_dir / "submissions"
-        self._tokens_dir = self.store_dir / "tokens"
         self._quarantine_dir = self.store_dir / "quarantine"
         self._runs_dir = self.store_dir / "runs"
-        for path in (self._submissions_dir, self._tokens_dir, self._quarantine_dir, self._runs_dir):
+        for path in (self._submissions_dir, self._quarantine_dir, self._runs_dir):
             path.mkdir(exist_ok=True)
 
         self.provider = self._load_or_create_provider(provider_seed)
         self.trust_roots: tuple[bytes, ...] = (self.provider.root_public_key,) + config.extra_trust_roots
 
-        self._submit_lock = threading.Lock()
-        self._locks_guard = threading.Lock()
-        self._submission_locks: dict[str, threading.Lock] = {}
-        self._recover_interrupted()
+        self._lock = threading.Lock()
+        self._submissions: dict[str, Submission] = {}
+        self._tokens: dict[str, str] = {}
+        self._load_submissions()
 
     # -- provider bootstrap -------------------------------------------------
 
@@ -229,42 +210,30 @@ class Portal:
             "attestation_validity": config.attestation_validity,
             "created_at": created_at,
         }
-        self._atomic_write(provider_file, canonical_json_bytes(payload))
+        atomic_write(provider_file, canonical_json_bytes(payload))
         return provider
 
-    # -- persistence helpers ------------------------------------------------
+    # -- records --------------------------------------------------------------
 
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
-    def _submission_path(self, submission_id: str) -> Path:
-        return self._submissions_dir / f"{submission_id}.json"
+    def _remember(self, submission: Submission) -> None:
+        self._submissions[submission.submission_id] = submission
+        if submission.state == STATE_PROVED:
+            self._tokens[submission.token] = submission.submission_id
 
     def _write_submission(self, submission: Submission) -> None:
-        self._atomic_write(
-            self._submission_path(submission.submission_id),
+        """Commit a record to disk, then to the tables."""
+        atomic_write(
+            self._submissions_dir / f"{submission.submission_id}.json",
             canonical_json_bytes(submission.to_dict()),
         )
+        self._remember(submission)
 
     def get_submission(self, submission_id: str) -> Submission:
-        path = self._submission_path(submission_id)
-        if not _is_hex_id(submission_id) or not path.is_file():
+        # ids are looked up, never joined into a path, so any string is safe here
+        submission = self._submissions.get(submission_id)
+        if submission is None:
             raise UnknownSubmission(submission_id)
-        return Submission.from_dict(json.loads(path.read_text(encoding="utf-8")))
-
-    def _iter_submissions(self):
-        for path in sorted(self._submissions_dir.glob("*.json")):
-            yield Submission.from_dict(json.loads(path.read_text(encoding="utf-8")))
-
-    def _lock_for(self, submission_id: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._submission_locks.setdefault(submission_id, threading.Lock())
+        return submission
 
     def _transition(self, submission: Submission, state: str, **changes) -> Submission:
         if state not in _TRANSITIONS[submission.state]:
@@ -281,11 +250,15 @@ class Portal:
         )
         return updated
 
-    def _recover_interrupted(self) -> None:
-        for submission in self._iter_submissions():
+    def _load_submissions(self) -> None:
+        """Read every record once; a run a crash left in Running goes back to Received."""
+        for path in sorted(self._submissions_dir.glob("*.json")):
+            submission = Submission.from_dict(json.loads(path.read_text(encoding="utf-8")))
             if submission.state == STATE_RUNNING:
                 logger.warning("recovering interrupted submission %s", submission.submission_id)
                 self._transition(submission, STATE_RECEIVED)
+            else:
+                self._remember(submission)
 
     # -- operations -----------------------------------------------------------
 
@@ -297,15 +270,15 @@ class Portal:
             load_manifest(incoming)
             package_digest = digest_package(incoming)
 
-            with self._submit_lock:
-                for existing in self._iter_submissions():
+            with self._lock:
+                received_at = self.clock()
+                for existing in self._submissions.values():
                     if (
                         existing.author_id == author_id
                         and existing.package_digest.value == package_digest.value
-                        and self.clock() - existing.received_at <= self.config.duplicate_window_seconds
+                        and received_at - existing.received_at <= self.config.duplicate_window_seconds
                     ):
                         raise DuplicateSubmission(existing.submission_id)
-                received_at = self.clock()
                 submission_id = _submission_id(package_digest, received_at, author_id)
                 archive_blob = self.blobs.put(archive_bytes)
                 final_quarantine = self._quarantine_dir / submission_id
@@ -338,82 +311,55 @@ class Portal:
 
     def process(self, submission_id: str) -> Submission:
         """Run the package and either archive a proof or record the failure."""
-        if not _is_hex_id(submission_id):
-            raise UnknownSubmission(submission_id)
-        with self._lock_for(submission_id):
-            submission = self.get_submission(submission_id)
-            if submission.state != STATE_RECEIVED:
-                raise WrongState(submission.state)
-            submission = self._transition(submission, STATE_RUNNING)
+        # the claim: only one caller moves a submission out of Received; a
+        # concurrent second caller gets WrongState("Running") at once
+        with self._lock:
+            submission = self._transition(self.get_submission(submission_id), STATE_RUNNING)
 
-            package_root = self._quarantine_dir / submission_id
-            try:
-                manifest = load_manifest(package_root)
-                record = execute(
-                    package_root,
-                    manifest,
-                    limits=ExecutionLimits(
-                        max_seconds=self.config.max_seconds,
-                        max_output_bytes=self.config.max_output_bytes,
-                    ),
-                    work_dir=self._runs_dir / submission_id,
-                )
-                bundle = build_bundle(record, self.provider, now=self.clock())
-                bundle_bytes = serialize_bundle(bundle)
-                bundle_blob = self.blobs.put(bundle_bytes)
-                token = bundle.token
-                self._atomic_write(self._tokens_dir / token, submission_id.encode("ascii"))
-                self.audit_log.append(
-                    {
-                        "type": "proof-archived",
-                        "submission_id": submission_id,
-                        "bundle_id": token,
-                        "bundle_blob": bundle_blob,
-                        "at": self.clock(),
-                    }
-                )
-                return self._transition(
-                    submission, STATE_PROVED, bundle_blob=bundle_blob, token=token
-                )
-            except (PackageError, RunnerError, BundleError) as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                logger.info("submission %s failed: %s", submission_id, reason)
-                return self._transition(submission, STATE_FAILED, failure_reason=reason)
+        package_root = self._quarantine_dir / submission_id
+        try:
+            manifest = load_manifest(package_root)
+            record = execute(
+                package_root,
+                manifest,
+                limits=ExecutionLimits(
+                    max_seconds=self.config.max_seconds,
+                    max_output_bytes=self.config.max_output_bytes,
+                ),
+                work_dir=self._runs_dir / submission_id,
+            )
+            bundle = build_bundle(record, self.provider, now=self.clock())
+            bundle_blob = self.blobs.put(serialize_bundle(bundle))
+            self.audit_log.append(
+                {
+                    "type": "proof-archived",
+                    "submission_id": submission_id,
+                    "bundle_id": bundle.token,
+                    "bundle_blob": bundle_blob,
+                    "at": self.clock(),
+                }
+            )
+            return self._transition(submission, STATE_PROVED, bundle_blob=bundle_blob, token=bundle.token)
+        except (PackageError, RunnerError, BundleError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            logger.info("submission %s failed: %s", submission_id, reason)
+            return self._transition(submission, STATE_FAILED, failure_reason=reason)
 
     def public_verify(self, token: str) -> PortalVerification:
         """Re-verify an archived proof and the archived package it names."""
-        token_path = self._tokens_dir / token
-        if not _is_hex_id(token) or not token_path.is_file():
+        submission_id = self._tokens.get(token)
+        if submission_id is None:
             raise UnknownToken(token)
-        submission_id = token_path.read_text(encoding="ascii").strip()
-        try:
-            submission = self.get_submission(submission_id)
-        except UnknownSubmission:
-            raise UnknownToken(token) from None
-        # token must be the one the commit recorded; a stale token file from
-        # an interrupted run must not serve a different bundle
-        if submission.state != STATE_PROVED or submission.bundle_blob is None or submission.token != token:
-            raise UnknownToken(token)
-
+        submission = self._submissions[submission_id]
         try:
             bundle_bytes = self.blobs.get_unverified(submission.bundle_blob)
         except BlobMissing:
             raise UnknownToken(token) from None
         verdict = verify_bundle(bundle_bytes, self.trust_roots, now=self.clock())
         bundle = parse_bundle(bundle_bytes) if verdict.accepted else None
-
-        if verdict.accepted and bundle is not None:
+        if bundle is not None:
             verdict = self._verify_archived_package(bundle, submission)
-
-        self.audit_log.append(
-            {
-                "type": "verification-served",
-                "token": token,
-                "verdict": "Accept" if verdict.accepted else "Reject",
-                "reason": verdict.reason,
-                "at": self.clock(),
-            }
-        )
+        self._log_verification(token, verdict)
         return PortalVerification(
             verdict=verdict,
             package_digest=submission.package_digest,
@@ -434,9 +380,10 @@ class Portal:
     def verify_bundle_bytes(self, data: bytes) -> Verdict:
         """Stateless verification of caller-supplied bundle bytes."""
         verdict = verify_bundle(data, self.trust_roots, now=self.clock())
-        token = None
-        if verdict.accepted:
-            token = parse_bundle(data).token
+        self._log_verification(parse_bundle(data).token if verdict.accepted else None, verdict)
+        return verdict
+
+    def _log_verification(self, token: str | None, verdict: Verdict) -> None:
         self.audit_log.append(
             {
                 "type": "verification-served",
@@ -446,7 +393,6 @@ class Portal:
                 "at": self.clock(),
             }
         )
-        return verdict
 
     def audit_check(self) -> AuditCheck:
         return audit_check(self.audit_log)

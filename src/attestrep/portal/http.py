@@ -2,7 +2,11 @@
 
 JSON in and out except for archive upload and proof download, which are
 raw bytes. Domain failures map to 4xx with ``{"error": name, "detail":
-message}``; nothing portal-internal leaks into responses.
+message}``; nothing portal-internal leaks into responses. A body is read
+only to its declared ``Content-Length``: a missing one is 411, one that is
+not a decimal number is 400, one over ``max_archive_bytes`` is 413, each
+answered before any of the body is read and followed by closing the
+connection.
 """
 
 from __future__ import annotations
@@ -36,6 +40,22 @@ _STATUS = {
 }
 
 
+class RequestRefused(Exception):
+    """A request the front end answers itself, before the portal sees it."""
+
+    def __init__(self, status: int, name: str, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
+        self.name = name
+
+
+def _count(text: str, what: str) -> int:
+    """A decimal count of at most 18 digits; ``int`` alone would take a sign, spaces and ``_``."""
+    if text.isascii() and text.isdigit() and len(text) <= 18:
+        return int(text)
+    raise RequestRefused(400, "BadRequest", f"{what} is not a decimal count: {text[:40]!r}")
+
+
 def _error_status(exc: Exception) -> int:
     for klass, status in _STATUS.items():
         if isinstance(exc, klass):
@@ -57,13 +77,20 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
         logger.debug("%s %s", self.address_string(), format % args)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0))
-        return self.rfile.read(length) if length else b""
+        header = self.headers.get("Content-Length")
+        if header is None:
+            raise RequestRefused(411, "LengthRequired", "a body needs a Content-Length")
+        length = _count(header, "Content-Length")
+        if length > self.portal.config.max_archive_bytes:
+            raise RequestRefused(413, "PayloadTooLarge", f"body of {length} bytes is over the limit")
+        return self.rfile.read(length)
 
     def _send(self, status: int, body: bytes, content_type: str = "application/json") -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -71,6 +98,11 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
         self._send(status, json.dumps(payload).encode("utf-8"))
 
     def _send_error_json(self, exc: Exception) -> None:
+        if isinstance(exc, RequestRefused):
+            # an unread or unframed body must not be parsed as the next request
+            self.close_connection = True
+            self._send_json(exc.status, {"error": exc.name, "detail": str(exc)})
+            return
         status = _error_status(exc)
         if status == 500:
             logger.exception("internal error handling %s %s", self.command, self.path)
@@ -106,7 +138,7 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
                 self._send(200, result.bundle_bytes or b"", content_type="application/octet-stream")
             elif parts == ["v1", "audit-log"]:
                 query = parse_qs(url.query)
-                from_seq = int(query.get("from_seq", ["0"])[0])
+                from_seq = _count(query.get("from_seq", ["0"])[0], "from_seq")
                 entries = [entry.to_dict() for entry in self.portal.audit_entries(from_seq=from_seq)]
                 self._send_json(200, {"entries": entries})
             else:

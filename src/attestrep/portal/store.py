@@ -1,4 +1,4 @@
-"""Flat-file content-addressed blob store.
+"""Flat-file content-addressed blob store, and the store's one atomic write.
 
 Keys are the SHA-256 of the stored bytes, so any silent mutation of a blob
 is detectable on read. Writes go through a temp file and rename, so a
@@ -11,6 +11,25 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, fsync it, rename it over ``path``.
+
+    Readers see the old file or the new one, never a partial one; on any
+    failure the temp file is removed before the error propagates.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class BlobMissing(KeyError):
@@ -39,19 +58,8 @@ class BlobStore:
     def put(self, data: bytes) -> str:
         key = hashlib.sha256(data).hexdigest()
         final = self.path(key)
-        if final.exists():
-            return key
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, final)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        if not final.exists():
+            atomic_write(final, data)
         return key
 
     def get(self, key: str) -> bytes:
@@ -68,6 +76,3 @@ class BlobStore:
             return self.path(key).read_bytes()
         except FileNotFoundError:
             raise BlobMissing(key) from None
-
-    def exists(self, key: str) -> bool:
-        return self.path(key).is_file()

@@ -22,6 +22,7 @@ import hashlib
 import logging
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -34,6 +35,7 @@ from attestrep.canonical import Wire, wire
 from attestrep.package_model import (
     PackageDigest,
     PackageManifest,
+    UnreadableFile,
     digest_entries,
     digest_package,
     file_sha256,
@@ -200,6 +202,13 @@ def _snapshot_outputs(tree: Path, rel_paths: list[str], snapshot: Path, max_byte
     return digest_entries(entries)
 
 
+def _copy_regular(src: str, dst: str) -> None:
+    # a FIFO or a device would block or never end the read
+    if not stat.S_ISREG(os.stat(src).st_mode):
+        raise UnreadableFile(src, "not a regular file or directory")
+    shutil.copy2(src, dst)
+
+
 def execute(
     root: str | Path,
     manifest: PackageManifest,
@@ -214,8 +223,6 @@ def execute(
     overrides the per-run random nonce; only tests and the reproducible
     CLI path should pass it.
     """
-    root = Path(root)
-    package_digest = digest_package(root)
     if nonce is None:
         nonce = os.urandom(32)
     if len(nonce) != 32:
@@ -227,7 +234,13 @@ def execute(
     tree = work / "tree"
     if tree.exists():
         shutil.rmtree(tree)
-    shutil.copytree(root, tree)
+    # links stay links so the digest refuses them; anything else that is not a regular file stops the copy
+    try:
+        shutil.copytree(root, tree, symlinks=True, copy_function=_copy_regular)
+    except OSError as exc:
+        raise UnreadableFile(str(root), str(exc)) from exc
+    # the digest is of the copy that runs, so a change to ``root`` during the copy is attested
+    package_digest = digest_package(tree)
     logger.debug("sandbox prepared at %s", work)
 
     entrypoint = tree / manifest.entrypoint

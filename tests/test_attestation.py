@@ -107,7 +107,8 @@ def test_quote_mutation_unforgeability() -> None:
 class TestEndorsementChain:
     def test_fresh_chain_verifies(self) -> None:
         chain = _zero_provider().export_chain()
-        assert chain.verify()
+        assert chain.root_statement.verify()
+        assert chain.attestation_endorsement.verify(chain.root_statement.root_public_key)
         assert chain.attestation_endorsement.not_before < chain.attestation_endorsement.not_after
 
     def test_flipped_endorsement_signature_fails(self) -> None:
@@ -117,7 +118,8 @@ class TestEndorsementChain:
         broken = replace(
             chain, attestation_endorsement=replace(chain.attestation_endorsement, signature=bytes(bad_sig))
         )
-        assert not broken.verify()
+        assert broken.root_statement.verify()
+        assert not broken.attestation_endorsement.verify(broken.root_statement.root_public_key)
 
     def test_chain_does_not_verify_under_other_root(self) -> None:
         ours = _zero_provider().export_chain()

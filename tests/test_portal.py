@@ -3,7 +3,9 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import tarfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from attestrep.portal import (
     DuplicateSubmission,
     Portal,
     PortalConfig,
+    Submission,
     UnknownSubmission,
     UnknownToken,
     WrongState,
@@ -123,7 +126,7 @@ class TestBlobStore:
     def test_put_get_round_trip(self, tmp_path: Path) -> None:
         store = BlobStore(tmp_path)
         key = store.put(b"hello")
-        assert store.exists(key)
+        assert store.path(key).is_file()
         assert store.get(key) == b"hello"
 
     def test_key_is_sha256(self, tmp_path: Path) -> None:
@@ -151,7 +154,7 @@ class TestSubmit:
         submission = portal.submit(archive, author_id="alice")
         assert submission.state == "Received"
         assert portal.get_submission(submission.submission_id) == submission
-        assert portal.blobs.exists(submission.archive_blob)
+        assert portal.blobs.path(submission.archive_blob).is_file()
 
     def test_rapid_duplicate_rejected(self, portal: Portal, archive: bytes) -> None:
         first = portal.submit(archive, author_id="alice")
@@ -174,6 +177,41 @@ class TestSubmit:
         )
         portal.submit(archive, author_id="alice")
         fake_time[0] += 3600
+        assert portal.submit(archive, author_id="alice").state == "Received"
+
+    def test_submit_reads_no_records(self, portal: Portal, tmp_path: Path, monkeypatch) -> None:
+        for i in range(5):
+            portal.submit(pack_tree(make_package(tmp_path / f"pkg{i}", extra_files={"i.txt": f"{i}\n"})))
+        from_dict = Submission.__dict__["from_dict"].__func__
+        reads = []
+
+        def counted(cls, obj):
+            reads.append(obj["submission_id"])
+            return from_dict(cls, obj)
+
+        monkeypatch.setattr(Submission, "from_dict", classmethod(counted))
+        portal.submit(pack_tree(make_package(tmp_path / "pkg5", extra_files={"i.txt": "5\n"})))
+        with pytest.raises(DuplicateSubmission):
+            portal.submit(pack_tree(tmp_path / "pkg0"))
+        assert reads == []
+
+    def test_failed_record_write_leaves_no_temp_file_and_no_record(
+        self, portal: Portal, archive: bytes, monkeypatch
+    ) -> None:
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).parent.name == "submissions":
+                raise OSError(28, "No space left on device")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            portal.submit(archive, author_id="alice")
+        submissions = portal.store_dir / "submissions"
+        assert [path.name for path in submissions.iterdir() if path.name.startswith(".tmp-")] == []
+        assert portal._submissions == {}
+        monkeypatch.setattr(os, "replace", replace)
         assert portal.submit(archive, author_id="alice").state == "Received"
 
     def test_missing_manifest(self, portal: Portal, tmp_path: Path) -> None:
@@ -232,6 +270,68 @@ class TestProcess:
             portal.process(submission.submission_id)
         assert excinfo.value.current == "Proved"
 
+    def test_concurrent_process_runs_the_package_once(self, portal: Portal, archive: bytes, monkeypatch) -> None:
+        import attestrep.portal.core as core
+
+        submission_id = portal.submit(archive, author_id="alice").submission_id
+        started, release = threading.Event(), threading.Event()
+        runs, results = [], []
+        execute = core.execute
+
+        def held_execute(*args, **kwargs):
+            runs.append(args[0])
+            started.set()
+            release.wait(5)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(core, "execute", held_execute)
+        first = threading.Thread(target=lambda: results.append(portal.process(submission_id)))
+        first.start()
+        try:
+            assert started.wait(5)
+            with pytest.raises(WrongState) as excinfo:
+                portal.process(submission_id)
+            # answered while the first run is still held, not after it
+            assert not release.is_set() and excinfo.value.current == "Running"
+        finally:
+            release.set()
+            first.join(10)
+        assert len(runs) == 1
+        assert [done.state for done in results] == ["Proved"]
+
+    def test_racing_callers_insert_and_claim_once(self, portal: Portal, archive: bytes) -> None:
+        import sys
+
+        def race(call) -> list:
+            outcomes, lock = [], threading.Lock()
+
+            def worker() -> None:
+                try:
+                    result = call()
+                except (DuplicateSubmission, WrongState) as exc:
+                    result = type(exc).__name__
+                with lock:
+                    outcomes.append(result)
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+            return outcomes
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            submitted = race(lambda: portal.submit(archive, author_id="alice"))
+            ids = [s.submission_id for s in submitted if isinstance(s, Submission)]
+            assert len(ids) == 1 and submitted.count("DuplicateSubmission") == 7
+            processed = race(lambda: portal.process(ids[0]).state)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(processed) == ["Proved"] + ["WrongState"] * 7
+
     def test_unknown_submission(self, portal: Portal) -> None:
         with pytest.raises(UnknownSubmission):
             portal.process("ff" * 32)
@@ -242,7 +342,6 @@ class TestProcess:
             portal.get_submission(bad)
         with pytest.raises(UnknownSubmission):
             portal.process(bad)
-        assert portal._submission_locks == {}
 
     @pytest.mark.parametrize("executable", [False, True], ids=["sh-entrypoint", "exec-entrypoint"])
     def test_relative_store_dir(self, tmp_path: Path, monkeypatch, executable: bool) -> None:
@@ -288,15 +387,26 @@ class TestPublicVerify:
         assert result.verdict.accepted
         assert result.package_digest == digest_package(portal.store_dir / "quarantine" / done.submission_id)
 
-    def test_stale_token_file_not_served(self, portal: Portal, archive: bytes) -> None:
-        # a leftover token file from an interrupted run must not resolve to
-        # a bundle issued under a different token
-        submission = portal.submit(archive, author_id="alice")
-        done = portal.process(submission.submission_id)
+    def test_stale_token_file_not_served(self, tmp_path: Path, archive: bytes) -> None:
+        # a token file left in the tokens/ directory of an older store must
+        # not resolve to a bundle issued under a different token
+        portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED)
+        done = portal.process(portal.submit(archive, author_id="alice").submission_id)
         stale = "bb" * 32
+        (portal.store_dir / "tokens").mkdir(exist_ok=True)
         (portal.store_dir / "tokens" / stale).write_text(done.submission_id)
-        with pytest.raises(UnknownToken):
-            portal.public_verify(stale)
+        for serving in (portal, Portal(tmp_path / "store")):
+            with pytest.raises(UnknownToken):
+                serving.public_verify(stale)
+            assert serving.public_verify(done.token).verdict.accepted
+
+    def test_tokens_directory_not_needed(self, tmp_path: Path, archive: bytes) -> None:
+        portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED)
+        done = portal.process(portal.submit(archive, author_id="alice").submission_id)
+        shutil.rmtree(portal.store_dir / "tokens", ignore_errors=True)
+        assert portal.public_verify(done.token).verdict.accepted
+        assert Portal(tmp_path / "store").public_verify(done.token).verdict.accepted
+        assert not (portal.store_dir / "tokens").exists()
 
     def test_corrupted_package_blob_rejected(self, portal: Portal, archive: bytes) -> None:
         submission = portal.submit(archive, author_id="alice")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import http.client
 import io
+import json
+import socket
 import statistics
 import tarfile
 import threading
@@ -158,6 +160,37 @@ def test_verify_by_token_with_missing_package_blob(base_url: str, archive: bytes
     response = requests.post(f"{base_url}/v1/verify", json={"token": done["token"]}, timeout=10)
     assert response.status_code == 200, response.text
     assert response.json()["reason"] == "DigestMismatch"
+
+
+def _raw_exchange(base_url: str, head: bytes) -> tuple[int, dict]:
+    """Send a request head with no body and read the answer to the server's close.
+
+    The 2 s timeout turns a handler still waiting for body bytes into a failure.
+    """
+    url = urlparse(base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=2) as sock:
+        sock.sendall(head)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    status_line, _, rest = data.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+@pytest.mark.parametrize(
+    ("head", "status", "error"),
+    [
+        (b"GET /v1/audit-log?from_seq=abc HTTP/1.1\r\nHost: t\r\n\r\n", 400, "BadRequest"),
+        (b"POST /v1/verify HTTP/1.1\r\nHost: t\r\nContent-Length: abc\r\n\r\n", 400, "BadRequest"),
+        (b"POST /v1/verify HTTP/1.1\r\nHost: t\r\nContent-Length: -1\r\n\r\n", 400, "BadRequest"),
+        (b"POST /v1/submissions HTTP/1.1\r\nHost: t\r\n\r\n", 411, "LengthRequired"),
+        (b"POST /v1/submissions HTTP/1.1\r\nHost: t\r\nContent-Length: 1073741825\r\n\r\n", 413, "PayloadTooLarge"),
+    ],
+    ids=["from-seq-not-a-number", "length-not-a-number", "length-negative", "length-missing", "length-over-cap"],
+)
+def test_malformed_request_fails_closed(base_url: str, head: bytes, status: int, error: str) -> None:
+    answered, body = _raw_exchange(base_url, head)
+    assert (answered, body["error"]) == (status, error)
 
 
 def test_keep_alive_requests_are_not_delayed(base_url: str, archive: bytes) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from attestrep.package_model import PackageDigest, digest_package, load_manifest
+from attestrep.package_model import PackageDigest, UnreadableFile, digest_package, load_manifest
 from attestrep.runner import (
     CostRates,
     EntrypointMissing,
@@ -32,6 +32,29 @@ def test_answer42_run(answer42: Path, tmp_path: Path) -> None:
     (expected_tree / "results").mkdir(parents=True)
     (expected_tree / "results" / "answer.txt").write_text("42\n")
     assert record.output_digest == digest_package(expected_tree)
+
+
+def test_digest_is_of_the_copy_that_runs(tmp_path: Path, monkeypatch) -> None:
+    import attestrep.runner as runner
+
+    package = make_package(tmp_path / "pkg")
+    copytree = runner.shutil.copytree
+
+    def copy_after_a_late_write(src, dst, **kwargs):
+        (Path(src) / "late.txt").write_text("written while the run was prepared\n")
+        return copytree(src, dst, **kwargs)
+
+    monkeypatch.setattr(runner.shutil, "copytree", copy_after_a_late_write)
+    record = execute(package, load_manifest(package), work_dir=tmp_path / "work")
+    assert (tmp_path / "work" / "tree" / "late.txt").is_file()
+    assert record.package_digest == digest_package(package)  # late.txt included
+
+
+def test_special_file_stops_the_copy(tmp_path: Path) -> None:
+    package = make_package(tmp_path / "pkg")
+    os.mkfifo(package / "pipe")
+    with pytest.raises(UnreadableFile):
+        execute(package, load_manifest(package), work_dir=tmp_path / "work")
 
 
 def test_nonzero_exit_recorded(tmp_path: Path) -> None:
