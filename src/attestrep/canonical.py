@@ -6,12 +6,12 @@ integers in decimal, binary fields as lowercase hex strings. Anything that
 recomputes a hash must go through this module.
 
 A wire structure is a frozen dataclass deriving from ``Wire``. Its field
-table is its dataclass fields, typed ``int``, ``float``, ``str``, ``bytes``
-or another ``Wire``, with the rules given by ``wire(...)`` (hex byte length,
-integer minimum, whether the signature covers the field) and the constant
-``TAGS`` of the class. ``Wire.to_dict`` and ``Wire.from_dict`` are the one
-encode/decode pair every structure uses; the table is compiled once per
-class.
+table is its dataclass fields, typed ``int``, ``float``, ``str``, ``bytes``,
+``dict`` (any JSON object, taken as is) or another ``Wire``, with the rules
+given by ``wire(...)`` (hex byte length, integer minimum, whether the
+signature covers the field) and the constant ``TAGS`` of the class.
+``Wire.to_dict`` and ``Wire.from_dict`` are the one encode/decode pair
+every structure uses; the table is compiled once per class.
 """
 
 from __future__ import annotations
@@ -74,6 +74,11 @@ def _decoder(kind: type, hex_size: int | None, minimum: int | None):
                 except UnicodeEncodeError:
                     pass
             raise SchemaError(f"{where}: expected a string of Unicode text")
+    elif kind is dict:
+        def decode(value: Any, where: str) -> dict:
+            if type(value) is not dict:
+                raise SchemaError(f"{where}: expected a JSON object")
+            return value
     else:
         types = (int,) if kind is int else (int, float)
         bound = "" if minimum is None else f" >= {minimum}"

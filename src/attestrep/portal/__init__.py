@@ -1,6 +1,6 @@
 """Journal-side submission portal: archive packages, issue and serve proofs."""
 
-from attestrep.portal.audit import AuditCheck, AuditEntry, AuditLog, audit_check
+from attestrep.portal.audit import AuditCheck, AuditEntry, AuditLog, AuditLogBroken, audit_check
 from attestrep.portal.core import (
     DuplicateSubmission,
     Portal,
@@ -19,6 +19,7 @@ __all__ = [
     "AuditCheck",
     "AuditEntry",
     "AuditLog",
+    "AuditLogBroken",
     "BlobCorrupt",
     "BlobMissing",
     "BlobStore",

@@ -22,6 +22,7 @@ directory left by older versions is ignored.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -89,6 +90,10 @@ class UnknownToken(PortalError):
     def __init__(self, token: str) -> None:
         super().__init__(f"no proof under token {token}")
         self.token = token
+
+
+class PackageChanged(PackageError):
+    """The tree that ran is not the package that was submitted."""
 
 
 @dataclass(frozen=True)
@@ -186,31 +191,19 @@ class Portal:
     # -- provider bootstrap -------------------------------------------------
 
     def _load_or_create_provider(self, provider_seed: bytes | None) -> AttestationProvider:
+        """The provider ``provider.json`` describes; a new store writes that file once the provider is made."""
         provider_file = self.store_dir / "provider.json"
-        if provider_file.exists():
+        exists = provider_file.exists()
+        if exists:
             obj = json.loads(provider_file.read_text(encoding="utf-8"))
-            config = ProviderConfig(
-                provider_id=obj["provider_id"],
-                root_secret_seed=bytes.fromhex(obj["root_secret_seed"]),
-                attestation_validity=obj["attestation_validity"],
-            )
-            return AttestationProvider(config, now=obj["created_at"])
-        seed = provider_seed if provider_seed is not None else os.urandom(32)
-        created_at = self.clock()
-        config = ProviderConfig(
-            provider_id=self.config.provider_id,
-            root_secret_seed=seed,
-            attestation_validity=self.config.attestation_validity,
-        )
-        provider = AttestationProvider(config, now=created_at)
-        # sim-only persistence; a real backend would keep keys in hardware
-        payload = {
-            "provider_id": config.provider_id,
-            "root_secret_seed": seed.hex(),
-            "attestation_validity": config.attestation_validity,
-            "created_at": created_at,
-        }
-        atomic_write(provider_file, canonical_json_bytes(payload))
+        else:
+            seed = provider_seed if provider_seed is not None else os.urandom(32)
+            obj = {"provider_id": self.config.provider_id, "root_secret_seed": seed.hex(),
+                   "attestation_validity": self.config.attestation_validity, "created_at": self.clock()}
+        config = ProviderConfig(obj["provider_id"], bytes.fromhex(obj["root_secret_seed"]), obj["attestation_validity"])
+        provider = AttestationProvider(config, now=obj["created_at"])
+        if not exists:  # sim-only persistence; a real backend would keep keys in hardware
+            atomic_write(provider_file, canonical_json_bytes(obj))
         return provider
 
     # -- records --------------------------------------------------------------
@@ -240,15 +233,12 @@ class Portal:
             raise WrongState(submission.state)
         updated = replace(submission, state=state, **changes)
         self._write_submission(updated)
-        self.audit_log.append(
-            {
-                "type": "state-changed",
-                "submission_id": submission.submission_id,
-                "state": state,
-                "at": self.clock(),
-            }
-        )
+        self._audit("state-changed", submission_id=submission.submission_id, state=state)
         return updated
+
+    def _audit(self, kind: str, **fields) -> None:
+        """Append one event of type ``kind``, stamped with the clock unless ``fields`` give ``at``."""
+        self.audit_log.append({"type": kind, "at": self.clock(), **fields})
 
     def _load_submissions(self) -> None:
         """Read every record once; a run a crash left in Running goes back to Received."""
@@ -294,16 +284,8 @@ class Portal:
                     archive_blob=archive_blob,
                 )
                 self._write_submission(submission)
-                self.audit_log.append(
-                    {
-                        "type": "submission-received",
-                        "submission_id": submission_id,
-                        "author_id": author_id,
-                        "package_digest": package_digest.hex,
-                        "archive_blob": archive_blob,
-                        "at": received_at,
-                    }
-                )
+                self._audit("submission-received", submission_id=submission_id, author_id=author_id,
+                            package_digest=package_digest.hex, archive_blob=archive_blob, at=received_at)
                 return submission
         finally:
             if incoming.exists():
@@ -318,32 +300,35 @@ class Portal:
 
         package_root = self._quarantine_dir / submission_id
         try:
-            manifest = load_manifest(package_root)
-            record = execute(
-                package_root,
-                manifest,
-                limits=ExecutionLimits(
-                    max_seconds=self.config.max_seconds,
-                    max_output_bytes=self.config.max_output_bytes,
-                ),
-                work_dir=self._runs_dir / submission_id,
-            )
-            bundle = build_bundle(record, self.provider, now=self.clock())
-            bundle_blob = self.blobs.put(serialize_bundle(bundle))
-            self.audit_log.append(
-                {
-                    "type": "proof-archived",
-                    "submission_id": submission_id,
-                    "bundle_id": bundle.token,
-                    "bundle_blob": bundle_blob,
-                    "at": self.clock(),
-                }
-            )
-            return self._transition(submission, STATE_PROVED, bundle_blob=bundle_blob, token=bundle.token)
-        except (PackageError, RunnerError, BundleError) as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            logger.info("submission %s failed: %s", submission_id, reason)
-            return self._transition(submission, STATE_FAILED, failure_reason=reason)
+            try:
+                manifest = load_manifest(package_root)
+                record = execute(
+                    package_root,
+                    manifest,
+                    limits=ExecutionLimits(
+                        max_seconds=self.config.max_seconds,
+                        max_output_bytes=self.config.max_output_bytes,
+                    ),
+                    work_dir=self._runs_dir / submission_id,
+                )
+                if record.package_digest != submission.package_digest:
+                    raise PackageChanged(f"ran {record.package_digest.hex}, submitted {submission.package_digest.hex}")
+                bundle = build_bundle(record, self.provider, now=self.clock())
+                bundle_blob = self.blobs.put(serialize_bundle(bundle))
+                self._audit("proof-archived", submission_id=submission_id, bundle_id=bundle.token,
+                            bundle_blob=bundle_blob)
+                return self._transition(submission, STATE_PROVED, bundle_blob=bundle_blob, token=bundle.token)
+            except (PackageError, RunnerError, BundleError) as exc:
+                reason = f"{type(exc).__name__}: {exc}"
+                logger.info("submission %s failed: %s", submission_id, reason)
+                return self._transition(submission, STATE_FAILED, failure_reason=reason)
+        except Exception:
+            # a fault outside the package (a full disk, say) hands the claim back instead of stranding it
+            if self._submissions[submission_id].state == STATE_RUNNING:
+                self._remember(replace(submission, state=STATE_RECEIVED))
+                with contextlib.suppress(OSError):  # the record on disk is swept at the next start
+                    self._transition(submission, STATE_RECEIVED)
+            raise
 
     def public_verify(self, token: str) -> PortalVerification:
         """Re-verify an archived proof and the archived package it names."""
@@ -384,15 +369,8 @@ class Portal:
         return verdict
 
     def _log_verification(self, token: str | None, verdict: Verdict) -> None:
-        self.audit_log.append(
-            {
-                "type": "verification-served",
-                "token": token,
-                "verdict": "Accept" if verdict.accepted else "Reject",
-                "reason": verdict.reason,
-                "at": self.clock(),
-            }
-        )
+        self._audit("verification-served", token=token, verdict="Accept" if verdict.accepted else "Reject",
+                    reason=verdict.reason)
 
     def audit_check(self) -> AuditCheck:
         return audit_check(self.audit_log)

@@ -6,7 +6,8 @@ message}``; nothing portal-internal leaks into responses. A body is read
 only to its declared ``Content-Length``: a missing one is 411, one that is
 not a decimal number is 400, one over ``max_archive_bytes`` is 413, each
 answered before any of the body is read and followed by closing the
-connection.
+connection. A route that reads no body (``process``, every GET, 404)
+closes the connection after a request that declares one.
 """
 
 from __future__ import annotations
@@ -76,7 +77,14 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:
         logger.debug("%s %s", self.address_string(), format % args)
 
+    def parse_request(self) -> bool:
+        ok = super().parse_request()
+        # a body the route does not read must not be parsed as the next request: _send closes after it
+        self._body_unread = ok and ("Transfer-Encoding" in self.headers or self.headers.get("Content-Length", "0") != "0")
+        return ok
+
     def _read_body(self) -> bytes:
+        self._body_unread = "Transfer-Encoding" in self.headers  # read by Content-Length, never to a chunked end
         header = self.headers.get("Content-Length")
         if header is None:
             raise RequestRefused(411, "LengthRequired", "a body needs a Content-Length")
@@ -89,7 +97,8 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
+        if self.close_connection or self._body_unread:
+            self.close_connection = True
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)

@@ -263,6 +263,15 @@ def test_usage_errors_exit_2(tmp_path: Path) -> None:
     assert main(["portal", "serve", "--listen", "nope"]) == 2
 
 
+def test_serve_refuses_a_broken_audit_log(tmp_path: Path, capsys) -> None:
+    store = tmp_path / "store"
+    Portal(store, provider_seed=PROVIDER_SEED).verify_bundle_bytes(b"junk")
+    with (store / "audit.log").open("ab") as fh:
+        fh.write(b"not json\n")
+    assert main(["portal", "serve", "--store", str(store), "--listen", "127.0.0.1:0"]) == 1
+    assert "error: audit log broken at seq 1" in capsys.readouterr().err
+
+
 def test_domain_error_exits_1(tmp_path: Path, capsys) -> None:
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -7,11 +8,13 @@ import shutil
 import tarfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from attestrep.archive import ArchiveMalformed, pack_tree, unpack_archive
 from attestrep.bundle import parse_bundle
+from attestrep.canonical import SchemaError, canonical_json_bytes
 from attestrep.package_model import ManifestMissing, PathRuleViolation, UnreadableFile, digest_package
 from attestrep.portal import (
     BlobCorrupt,
@@ -26,7 +29,8 @@ from attestrep.portal import (
     WrongState,
     audit_check,
 )
-from attestrep.portal.audit import AuditLog
+from attestrep.portal import audit
+from attestrep.portal.audit import AuditEntry, AuditLog, AuditLogBroken
 from attestrep.verifier import DIGEST_MISMATCH, verify_bundle
 from conftest import PROVIDER_SEED, make_package
 
@@ -263,6 +267,59 @@ class TestProcess:
         assert done.state == "Failed"
         assert "NoDeclaredOutputsMatched" in done.failure_reason
 
+    def test_fault_outside_the_package_hands_the_claim_back(self, portal: Portal, archive: bytes, monkeypatch) -> None:
+        submission_id = portal.submit(archive, author_id="alice").submission_id
+        put, faults = portal.blobs.put, [OSError(28, "No space left on device")]
+
+        def failing_put(data: bytes) -> str:
+            if faults:
+                raise faults.pop()
+            return put(data)
+
+        monkeypatch.setattr(portal.blobs, "put", failing_put)
+        with pytest.raises(OSError):
+            portal.process(submission_id)
+        assert portal.get_submission(submission_id).state == "Received"
+        assert Portal(portal.store_dir).get_submission(submission_id).state == "Received"
+        assert portal.process(submission_id).state == "Proved"
+        assert portal.audit_check().ok
+
+    def test_failed_record_write_hands_the_claim_back(self, portal: Portal, tmp_path: Path, monkeypatch) -> None:
+        package = make_package(tmp_path / "bad", script="#!/bin/sh\nexit 1\n")
+        submission_id = portal.submit(pack_tree(package), author_id="alice").submission_id
+        replace, faults = os.replace, [OSError(28, "No space left on device")]
+
+        def failing_replace(src, dst):
+            if faults and Path(dst).parent.name == "submissions":
+                raise faults.pop()
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            portal.process(submission_id)  # the Failed record is not written
+        assert portal.get_submission(submission_id).state == "Received"
+        assert portal.process(submission_id).state == "Failed"
+        assert portal.audit_check().ok
+
+    def test_tree_changed_after_submit_fails(self, portal: Portal, tmp_path: Path) -> None:
+        # the sandbox is runs/<id>/tree, so ../../../quarantine holds every other submission's tree
+        victim = make_package(
+            tmp_path / "victim",
+            script="#!/bin/sh\nmkdir -p results\ncp data.txt results/\n",
+            extra_files={"data.txt": "honest\n"},
+        )
+        forger = make_package(
+            tmp_path / "forger",
+            script="#!/bin/sh\nfor f in ../../../quarantine/*/data.txt; do echo forged > \"$f\"; done\n"
+            "mkdir -p results\necho 42 > results/answer.txt\n",
+        )
+        victim_id = portal.submit(pack_tree(victim), author_id="alice").submission_id
+        assert portal.process(portal.submit(pack_tree(forger), author_id="mallory").submission_id).state == "Proved"
+        done = portal.process(victim_id)
+        assert done.state == "Failed" and done.token is None
+        assert done.failure_reason.startswith("PackageChanged: ")
+        assert portal.audit_check().ok
+
     def test_double_process_rejected(self, portal: Portal, archive: bytes) -> None:
         submission = portal.submit(archive, author_id="alice")
         portal.process(submission.submission_id)
@@ -497,6 +554,81 @@ class TestAudit:
         portal.process(submission.submission_id)
         tail = portal.audit_entries(from_seq=2)
         assert [entry.seq for entry in tail] == [2, 3]
+
+
+    def test_log_bytes_are_frozen(self, tmp_path: Path) -> None:
+        # the same operations under a fixed clock and seed write these bytes in every version
+        portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED, clock=lambda: 1_700_000_000)
+        portal.submit(pack_tree(make_package(tmp_path / "kept", extra_files={"data.txt": "zoë\n"})), author_id="zoë")
+        empty = portal.submit(pack_tree(make_package(tmp_path / "empty", script="#!/bin/sh\ntrue\n")), author_id="alice")
+        portal.process(empty.submission_id)
+        portal.verify_bundle_bytes(b"junk")
+        portal = Portal(tmp_path / "store", clock=lambda: 1_700_000_001)
+        portal.verify_bundle_bytes(b"{}")
+        data = portal.audit_log.path.read_bytes()
+        assert len(data.splitlines()) == 6
+        assert hashlib.sha256(data).hexdigest() == "6aa1faac190e0c8b44aa976a2a6096801161bc5da278232edbdd25079a194062"
+
+    def test_reopen_with_malformed_line_raises(self, portal: Portal, archive: bytes) -> None:
+        portal.process(portal.submit(archive, author_id="alice").submission_id)
+        with portal.audit_log.path.open("ab") as fh:
+            fh.write(b"not json\n")
+        with pytest.raises(AuditLogBroken) as excinfo:
+            Portal(portal.store_dir)
+        assert excinfo.value.seq == 4 and str(excinfo.value) == "audit log broken at seq 4"
+
+    def test_reopen_with_rewritten_event_raises_at_its_seq(self, portal: Portal, archive: bytes) -> None:
+        portal.process(portal.submit(archive, author_id="alice").submission_id)
+        path = portal.audit_log.path
+        lines = path.read_bytes().splitlines(keepends=True)
+        entry = json.loads(lines[2])
+        entry["event"]["bundle_blob"] = "00" * 32
+        lines[2] = canonical_json_bytes(entry) + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(AuditLogBroken) as excinfo:
+            AuditLog(path)
+        assert excinfo.value.seq == 2
+        assert path.read_bytes() == b"".join(lines)  # nothing appended to a broken chain
+
+    def test_tail_read_decodes_only_the_lines_it_returns(self, tmp_path: Path, monkeypatch) -> None:
+        log = AuditLog(tmp_path / "audit.log")
+        for i in range(50):
+            log.append({"type": "tick", "i": i})
+        log = AuditLog(log.path)
+        decoded = []
+
+        def counted(text: str):
+            decoded.append(text)
+            return json.loads(text)
+
+        monkeypatch.setattr(audit, "json", SimpleNamespace(loads=counted))
+        tail = log.entries(from_seq=48)
+        assert [(entry.seq, entry.event["i"]) for entry in tail] == [(48, 48), (49, 49)]
+        assert len(decoded) == 2
+        assert log.append({"type": "tick", "i": 50}).seq == 50
+        assert [entry.seq for entry in log.entries(from_seq=49)] == [49, 50]
+        assert log.entries(from_seq=51) == []
+
+    def test_tail_read_checks_the_sequence(self, tmp_path: Path) -> None:
+        log = AuditLog(tmp_path / "audit.log")
+        for i in range(3):
+            log.append({"i": i})
+        data = log.path.read_bytes()
+        log.path.write_bytes(data.replace(b'"seq":2', b'"seq":7'))
+        with pytest.raises(AuditLogBroken) as excinfo:
+            log.entries(from_seq=1)
+        assert excinfo.value.seq == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"seq": -1}, {"seq": True}, {"event": []}, {"prev_hash": "00"}, {"entry_hash": "AA" * 32}, {"extra": 1}],
+        ids=["negative-seq", "bool-seq", "event-not-object", "short-hash", "upper-hex", "extra-key"],
+    )
+    def test_entry_schema(self, change: dict) -> None:
+        entry = AuditEntry(seq=0, prev_hash=b"\0" * 32, event={"a": [1]}, entry_hash=b"\1" * 32)
+        assert AuditEntry.from_dict(entry.to_dict()) == entry
+        with pytest.raises(SchemaError):
+            AuditEntry.from_dict({**entry.to_dict(), **change})
 
 
 class TestLifecycleAndRecovery:

@@ -193,6 +193,32 @@ def test_malformed_request_fails_closed(base_url: str, head: bytes, status: int,
     assert (answered, body["error"]) == (status, error)
 
 
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"POST /v1/submissions/" + b"ff" * 32 + b"/process HTTP/1.1\r\nHost: t\r\n",
+        b"GET /v1/audit-log HTTP/1.1\r\nHost: t\r\n",
+        b"POST /v1/nowhere HTTP/1.1\r\nHost: t\r\n",
+    ],
+    ids=["process", "get", "not-found"],
+)
+@pytest.mark.parametrize("framing", ["Content-Length", "Transfer-Encoding"])
+def test_unread_body_is_not_a_second_request(base_url: str, head: bytes, framing: str) -> None:
+    smuggled = b"GET /v1/audit-log HTTP/1.1\r\nHost: t\r\n\r\n"
+    if framing == "Content-Length":
+        request = head + b"Content-Length: %d\r\n\r\n" % len(smuggled) + smuggled
+    else:
+        request = head + b"Transfer-Encoding: chunked\r\n\r\n%x\r\n" % len(smuggled) + smuggled + b"\r\n0\r\n\r\n"
+    url = urlparse(base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=2) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):  # one response, then the server's close; a second request times out
+            data += chunk
+    assert data.count(b"HTTP/1.1 ") == 1
+    assert b"Connection: close\r\n" in data
+
+
 def test_keep_alive_requests_are_not_delayed(base_url: str, archive: bytes) -> None:
     # a response written as two sends must not wait for the client's delayed ACK
     _submit(base_url, archive)
