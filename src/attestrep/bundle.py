@@ -29,6 +29,8 @@ BUNDLE_EXTENSION = ".arproof"
 
 _IMAGE_DOMAIN = b"attestrep-image-v1"
 _ZERO_TAIL = b"\x00" * 32
+# canonical bundle bytes open with '{"bundle_id":"<64 hex>",': the key sorts first
+_BODY_START = len('{"bundle_id":"') + 64 + len('",')
 
 
 class BundleError(Exception):
@@ -82,6 +84,15 @@ class ProofBundle(Wire):
     @property
     def token(self) -> str:
         return self.bundle_id.hex()
+
+
+def canonical_bundle_id(data: bytes) -> bytes:
+    """``parse_bundle(data).computed_bundle_id()``, from the bytes ``parse_bundle`` accepted.
+
+    The canonical body without ``bundle_id`` is ``{`` and the rest of ``data``
+    after that first member, so nothing is encoded again.
+    """
+    return sha256(b"{" + data[_BODY_START:])
 
 
 def build_bundle(

@@ -6,10 +6,11 @@ so rewriting any historical event is evident from the file alone. A line is
 the canonical JSON of an ``AuditEntry``. ``_scan`` is the one chain walk:
 ``audit_check`` runs it over a file, and ``AuditLog`` runs it once when it
 opens, so a broken log raises ``AuditLogBroken`` instead of being appended
-to. The open log keeps the byte offset of each entry: ``entries(from_seq)``
-seeks to its first entry and parses only the lines it returns, so a read
-costs what it returns. Appends are serialized through one lock; the chain
-needs a total order.
+to. A read that finds a line changed since then raises it too, and from then
+on so does every append. The open log keeps the byte offset of each entry:
+``entries(from_seq)`` seeks to its first entry and parses only the lines it
+returns, so a read costs what it returns. Appends are serialized through one
+lock; the chain needs a total order.
 """
 from __future__ import annotations
 
@@ -88,6 +89,7 @@ class AuditLog:
         self._lock = threading.Lock()
         self._offsets = array("Q")  # seq -> byte offset of its line
         self._last_hash = GENESIS_HASH
+        self._broken_at: int | None = None  # seq of a line a read found changed; the log is not extended
         for offset, entry in _scan(self.path):
             self._offsets.append(offset)
             self._last_hash = entry.entry_hash
@@ -95,6 +97,8 @@ class AuditLog:
 
     def append(self, event: dict) -> AuditEntry:
         with self._lock:
+            if self._broken_at is not None:
+                raise AuditLogBroken(self._broken_at)
             entry = AuditEntry(
                 seq=len(self._offsets),
                 prev_hash=self._last_hash,
@@ -122,7 +126,12 @@ class AuditLog:
         with self.path.open("rb") as fh:
             fh.seek(start)
             lines = fh.read(end - start).splitlines(keepends=True)
-        return [entry for _, entry in _parse(lines, from_seq)]
+        try:
+            return [entry for _, entry in _parse(lines, from_seq)]
+        except AuditLogBroken as exc:
+            with self._lock:
+                self._broken_at = exc.seq
+            raise
 
 
 def audit_check(log: AuditLog | str | Path) -> AuditCheck:

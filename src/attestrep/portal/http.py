@@ -2,9 +2,10 @@
 
 JSON in and out except for archive upload and proof download, which are
 raw bytes. Domain failures map to 4xx with ``{"error": name, "detail":
-message}``; nothing portal-internal leaks into responses. A body is read
-only to its declared ``Content-Length``: a missing one is 411, one that is
-not a decimal number is 400, one over ``max_archive_bytes`` is 413, each
+message}``, and an audit log changed under the portal to 503
+``AuditLogBroken``; nothing portal-internal leaks into responses. A body is
+read only to its declared ``Content-Length``: a missing one is 411, one that
+is not a decimal number is 400, one over ``max_archive_bytes`` is 413, each
 answered before any of the body is read and followed by closing the
 connection. A route that reads no body (``process``, every GET, 404)
 closes the connection after a request that declares one.
@@ -19,6 +20,7 @@ from urllib.parse import parse_qs, urlparse
 
 from attestrep.archive import ArchiveMalformed
 from attestrep.package_model import PackageError
+from attestrep.portal.audit import AuditLogBroken
 from attestrep.portal.core import (
     DuplicateSubmission,
     Portal,
@@ -38,6 +40,7 @@ _STATUS = {
     WrongState: 409,
     UnknownSubmission: 404,
     UnknownToken: 404,
+    AuditLogBroken: 503,
 }
 
 

@@ -1,4 +1,4 @@
-"""Stateless proof verification against pinned trust roots.
+"""Proof verification against pinned trust roots.
 
 Runs on digests and signatures only, so cost does not depend on how large
 the attested package was. All failures come back as Reject verdicts with
@@ -7,18 +7,27 @@ the first failing check named, in a fixed order:
     parse -> chain -> validity -> quote signature -> binding -> bundle_id
           -> exit status
 
-The clock is a parameter; nothing here reads wall time.
+A verdict is a pure function of (bytes, trust roots, now). The one state
+kept between calls is a bounded memo of chain signature outcomes: the root
+statement's self-signature and the endorsement's signature under its root
+key. Every bundle from one provider carries the same chain, so those two
+Ed25519 checks run once per process; the quote, which is new for every run,
+is checked on every call, as are trust-root membership, the validity window
+and the bindings. The clock is a parameter; nothing here reads wall time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
+from attestrep.attestation import AttestationEndorsement, RootStatement
 from attestrep.bundle import (
     BundleParseError,
     ProofBundle,
     VersionUnsupported,
+    canonical_bundle_id,
     compute_measurement,
     compute_report_data,
     parse_bundle,
@@ -36,6 +45,9 @@ MEASUREMENT_MISMATCH = "MeasurementMismatch"
 BUNDLE_ID_MISMATCH = "BundleIdMismatch"
 NONZERO_EXIT = "NonZeroExit"
 DIGEST_MISMATCH = "DigestMismatch"
+
+# distinct chains whose signature outcomes are remembered; one per provider key in practice
+CHAIN_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,18 @@ def _normalize_roots(trust_roots: Iterable[bytes | str]) -> set[bytes]:
     return roots
 
 
+# Keyed on the parsed structures: frozen dataclasses whose equality covers every
+# field, signature included, so a hit is the same statement the check passed on.
+@functools.lru_cache(maxsize=CHAIN_MEMO_SIZE)
+def _root_statement_valid(statement: RootStatement) -> bool:
+    return statement.verify()
+
+
+@functools.lru_cache(maxsize=CHAIN_MEMO_SIZE)
+def _endorsement_valid(endorsement: AttestationEndorsement, root_public_key: bytes) -> bool:
+    return endorsement.verify(root_public_key)
+
+
 def verify_bundle(data: bytes, trust_roots: Iterable[bytes | str], now: int) -> Verdict:
     """Check serialized bundle bytes against trusted roots at time ``now``.
 
@@ -90,14 +114,14 @@ def verify_bundle(data: bytes, trust_roots: Iterable[bytes | str], now: int) -> 
         return Verdict.reject(PARSE_ERROR, str(exc))
 
     chain = bundle.chain
-    if not chain.root_statement.verify():
+    if not _root_statement_valid(chain.root_statement):
         return Verdict.reject(CHAIN_SIGNATURE_INVALID, "root statement self-signature invalid")
     if chain.root_statement.root_public_key not in roots:
         return Verdict.reject(UNTRUSTED_ROOT, "chain roots to a key outside the trusted set")
     endorsement = chain.attestation_endorsement
     if endorsement.not_before >= endorsement.not_after:
         return Verdict.reject(CHAIN_SIGNATURE_INVALID, "endorsement validity window is empty")
-    if not endorsement.verify(chain.root_statement.root_public_key):
+    if not _endorsement_valid(endorsement, chain.root_statement.root_public_key):
         return Verdict.reject(CHAIN_SIGNATURE_INVALID, "attestation endorsement signature invalid")
 
     if now < endorsement.not_before:
@@ -116,7 +140,7 @@ def verify_bundle(data: bytes, trust_roots: Iterable[bytes | str], now: int) -> 
     if bundle.quote.measurement != compute_measurement(bundle.package_digest.value):
         return Verdict.reject(MEASUREMENT_MISMATCH, "measurement does not match the package digest")
 
-    if bundle.bundle_id != bundle.computed_bundle_id():
+    if bundle.bundle_id != canonical_bundle_id(data):
         return Verdict.reject(BUNDLE_ID_MISMATCH, "bundle_id does not recompute from the body")
 
     if bundle.execution.exit_status != 0:

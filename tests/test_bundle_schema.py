@@ -26,6 +26,7 @@ from attestrep.bundle import (
     ProofBundle,
     VersionUnsupported,
     build_bundle,
+    canonical_bundle_id,
     parse_bundle,
     serialize_bundle,
 )
@@ -269,3 +270,9 @@ def test_parse_inverts_serialize(bundle: ProofBundle) -> None:
     data = serialize_bundle(bundle)
     assert parse_bundle(data) == bundle
     assert serialize_bundle(parse_bundle(data)) == data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bundles)
+def test_bundle_id_read_off_the_bytes_is_the_computed_one(bundle: ProofBundle) -> None:
+    assert canonical_bundle_id(serialize_bundle(bundle)) == bundle.computed_bundle_id()

@@ -619,6 +619,19 @@ class TestAudit:
             log.entries(from_seq=1)
         assert excinfo.value.seq == 2
 
+    def test_no_append_after_a_read_found_the_log_changed(self, tmp_path: Path) -> None:
+        log = AuditLog(tmp_path / "audit.log")
+        for i in range(3):
+            log.append({"i": i})
+        changed = log.path.read_bytes().replace(b'"seq":1', b'"seq":5')
+        log.path.write_bytes(changed)
+        with pytest.raises(AuditLogBroken):
+            log.entries(from_seq=0)
+        with pytest.raises(AuditLogBroken) as excinfo:
+            log.append({"i": 3})
+        assert excinfo.value.seq == 1
+        assert log.path.read_bytes() == changed
+
     @pytest.mark.parametrize(
         "change",
         [{"seq": -1}, {"seq": True}, {"event": []}, {"prev_hash": "00"}, {"entry_hash": "AA" * 32}, {"extra": 1}],

@@ -162,6 +162,20 @@ def test_verify_by_token_with_missing_package_blob(base_url: str, archive: bytes
     assert response.json()["reason"] == "DigestMismatch"
 
 
+def test_changed_audit_log_is_503_and_not_extended(base_url: str, archive: bytes, portal: Portal) -> None:
+    submission_id = _submit(base_url, archive)
+    token = requests.post(f"{base_url}/v1/submissions/{submission_id}/process", timeout=30).json()["token"]
+    path = portal.audit_log.path
+    changed = path.read_bytes().replace(b'"seq":2', b'"seq":9')
+    path.write_bytes(changed)
+
+    read = requests.get(f"{base_url}/v1/audit-log?from_seq=1", timeout=10)
+    assert (read.status_code, read.json()["error"]) == (503, "AuditLogBroken")
+    verify = requests.post(f"{base_url}/v1/verify", json={"token": token}, timeout=10)
+    assert (verify.status_code, verify.json()["error"]) == (503, "AuditLogBroken")
+    assert path.read_bytes() == changed
+
+
 def _raw_exchange(base_url: str, head: bytes) -> tuple[int, dict]:
     """Send a request head with no body and read the answer to the server's close.
 
