@@ -14,7 +14,6 @@ the environment.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -48,7 +47,7 @@ from attestrep.economics import (
 )
 from attestrep.evaluation import EvaluationError, aggregate, ingest_csv, load_fixture, render_text
 from attestrep.package_model import PackageError, digest_package, load_manifest
-from attestrep.portal.core import Portal, PortalConfig, PortalError
+from attestrep.portal.core import Portal, PortalError
 from attestrep.portal.http import make_server
 from attestrep.runner import ExecutionLimits, RunnerError, execute
 from attestrep.verifier import Verdict, verify_against_archive, verify_bundle
@@ -63,7 +62,7 @@ _DOMAIN_ERRORS = (
     PortalError,
     EvaluationError,
     ArchiveMalformed,
-    urllib.error.URLError,
+    OSError,  # an unreadable or unwritable file, or an unreachable portal (URLError)
 )
 
 
@@ -88,10 +87,6 @@ def _emit(payload: dict, as_json: bool) -> None:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _nonce_from_seed(seed: str) -> bytes:
-    return hashlib.sha256(b"attestrep-nonce-seed:" + seed.encode("utf-8")).digest()
-
-
 # -- author workflow ---------------------------------------------------------
 
 
@@ -106,15 +101,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 def _run_package(args: argparse.Namespace):
     manifest = load_manifest(args.directory)
-    nonce = _nonce_from_seed(args.nonce_seed) if args.nonce_seed else None
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="attestrep-run-")
-    record = execute(
-        args.directory,
-        manifest,
-        limits=ExecutionLimits(max_seconds=args.max_seconds),
-        work_dir=work_dir,
-        nonce=nonce,
-    )
+    record = execute(args.directory, manifest, work_dir, limits=ExecutionLimits(max_seconds=args.max_seconds))
     return record, work_dir
 
 
@@ -212,7 +200,7 @@ def _cmd_portal_serve(args: argparse.Namespace) -> int:
     host, _, port_text = args.listen.rpartition(":")
     if not host or not port_text.isdigit():
         raise UsageError(f"bad --listen address {args.listen!r}, expected host:port")
-    portal = Portal(store, config=PortalConfig(), provider_seed=args.provider_seed)
+    portal = Portal(store, provider_seed=args.provider_seed)
     server = make_server(portal, host=host, port=int(port_text))
     actual_host, actual_port = server.server_address[:2]
     print(f"portal root key: {portal.provider.root_public_key.hex()}")
@@ -314,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("directory")
         cmd.add_argument("--max-seconds", type=float, default=3600.0)
         cmd.add_argument("--work-dir", default=None)
-        cmd.add_argument("--nonce-seed", default=None, help="test-only reproducible nonce")
         cmd.add_argument("--json", action="store_true")
 
     run = sub.add_parser("run", help="execute a package and print the run record")

@@ -4,7 +4,6 @@ from attestrep.portal.audit import AuditCheck, AuditEntry, AuditLog, AuditLogBro
 from attestrep.portal.core import (
     DuplicateSubmission,
     Portal,
-    PortalConfig,
     PortalError,
     PortalVerification,
     Submission,
@@ -25,7 +24,6 @@ __all__ = [
     "BlobStore",
     "DuplicateSubmission",
     "Portal",
-    "PortalConfig",
     "PortalError",
     "PortalHTTPServer",
     "PortalVerification",

@@ -11,13 +11,17 @@ State and artifacts live in one store directory::
 
 One ``Portal`` owns a store: it reads every record once when it opens and
 then serves ids and tokens from memory, so two portals must not share a
-store. Crash safety: each record is written to a temp file and renamed over
-the old one; that rename is the commit point, and the in-memory tables
-change only after it. The bundle blob is written before the record flips
-to Proved, so a token resolves only once its proof is committed. On
-startup any submission stuck in Running is swept back to Received, so
-observable states after a crash are Received or terminal. A ``tokens/``
-directory left by older versions is ignored.
+store. Every state change commits in one order (``Portal._commit``): the
+audit event is appended, then the record is written to a temp file and
+renamed over the old one, then the in-memory tables change, so a refused
+append (``AuditLogBroken``) or a failed write changes nothing after it. The
+bundle blob is written before the record flips to Proved, so a token
+resolves only once its proof is committed. On startup any submission stuck
+in Running is swept back to Received, so observable states after a crash
+are Received or terminal. A ``tokens/`` directory left by older versions is
+ignored. The limits are module constants, not settings: runs get
+``RUN_LIMITS``, archives ``archive.MAX_ARCHIVE_BYTES`` and
+``archive.MAX_MEMBERS``, duplicates ``DUPLICATE_WINDOW_SECONDS``.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from attestrep.attestation import (
 from attestrep.bundle import BundleError, ProofBundle, build_bundle, parse_bundle, serialize_bundle
 from attestrep.canonical import canonical_json_bytes
 from attestrep.package_model import PackageDigest, PackageError, digest_package, load_manifest
-from attestrep.portal.audit import AuditCheck, AuditLog, audit_check
+from attestrep.portal.audit import AuditCheck, AuditLog, AuditLogBroken, audit_check
 from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore, atomic_write
 from attestrep.runner import ExecutionLimits, RunnerError, execute
 from attestrep.verifier import DIGEST_MISMATCH, Verdict, verify_against_archive, verify_bundle
@@ -55,6 +59,11 @@ STATE_RECEIVED = "Received"
 STATE_RUNNING = "Running"
 STATE_PROVED = "Proved"
 STATE_FAILED = "Failed"
+
+# the same author resubmitting the same package within a day is a duplicate
+DUPLICATE_WINDOW_SECONDS = 86_400
+# what one package run may take; the output cap is the ExecutionLimits default of 1 GiB
+RUN_LIMITS = ExecutionLimits(max_seconds=600.0)
 
 _TRANSITIONS = {
     STATE_RECEIVED: {STATE_RUNNING},
@@ -134,17 +143,6 @@ class PortalVerification:
         return out
 
 
-@dataclass(frozen=True)
-class PortalConfig:
-    provider_id: str = DEFAULT_PROVIDER_ID
-    attestation_validity: int = DEFAULT_VALIDITY_SECONDS
-    duplicate_window_seconds: int = 86400
-    max_seconds: float = 600.0
-    max_output_bytes: int = 1 << 30
-    max_archive_bytes: int = 1 << 30
-    extra_trust_roots: tuple[bytes, ...] = ()
-
-
 def _submission_id(package_digest: PackageDigest, received_at: int, author_id: str) -> str:
     material = package_digest.value + received_at.to_bytes(8, "big") + author_id.encode("utf-8")
     return hashlib.sha256(material).hexdigest()
@@ -161,15 +159,8 @@ class Portal:
     by the log's own lock.
     """
 
-    def __init__(
-        self,
-        store_dir: str | Path,
-        config: PortalConfig = PortalConfig(),
-        provider_seed: bytes | None = None,
-        clock=None,
-    ) -> None:
+    def __init__(self, store_dir: str | Path, provider_seed: bytes | None = None, clock=None) -> None:
         self.store_dir = Path(store_dir)
-        self.config = config
         self.clock = clock if clock is not None else (lambda: int(time.time()))
         self.store_dir.mkdir(parents=True, exist_ok=True)
         self.blobs = BlobStore(self.store_dir / "blobs")
@@ -181,7 +172,7 @@ class Portal:
             path.mkdir(exist_ok=True)
 
         self.provider = self._load_or_create_provider(provider_seed)
-        self.trust_roots: tuple[bytes, ...] = (self.provider.root_public_key,) + config.extra_trust_roots
+        self.trust_roots = (self.provider.root_public_key,)
 
         self._lock = threading.Lock()
         self._submissions: dict[str, Submission] = {}
@@ -198,8 +189,8 @@ class Portal:
             obj = json.loads(provider_file.read_text(encoding="utf-8"))
         else:
             seed = provider_seed if provider_seed is not None else os.urandom(32)
-            obj = {"provider_id": self.config.provider_id, "root_secret_seed": seed.hex(),
-                   "attestation_validity": self.config.attestation_validity, "created_at": self.clock()}
+            obj = {"provider_id": DEFAULT_PROVIDER_ID, "root_secret_seed": seed.hex(),
+                   "attestation_validity": DEFAULT_VALIDITY_SECONDS, "created_at": self.clock()}
         config = ProviderConfig(obj["provider_id"], bytes.fromhex(obj["root_secret_seed"]), obj["attestation_validity"])
         provider = AttestationProvider(config, now=obj["created_at"])
         if not exists:  # sim-only persistence; a real backend would keep keys in hardware
@@ -214,12 +205,18 @@ class Portal:
             self._tokens[submission.token] = submission.submission_id
 
     def _write_submission(self, submission: Submission) -> None:
-        """Commit a record to disk, then to the tables."""
+        """Write a record to disk, then to the tables."""
         atomic_write(
             self._submissions_dir / f"{submission.submission_id}.json",
             canonical_json_bytes(submission.to_dict()),
         )
         self._remember(submission)
+
+    def _commit(self, submission: Submission, kind: str, **fields) -> Submission:
+        """Audit, then record, then tables: a log that refuses the event leaves the submission as it was."""
+        self._audit(kind, **fields)
+        self._write_submission(submission)
+        return submission
 
     def get_submission(self, submission_id: str) -> Submission:
         # ids are looked up, never joined into a path, so any string is safe here
@@ -232,9 +229,7 @@ class Portal:
         if state not in _TRANSITIONS[submission.state]:
             raise WrongState(submission.state)
         updated = replace(submission, state=state, **changes)
-        self._write_submission(updated)
-        self._audit("state-changed", submission_id=submission.submission_id, state=state)
-        return updated
+        return self._commit(updated, "state-changed", submission_id=submission.submission_id, state=state)
 
     def _audit(self, kind: str, **fields) -> None:
         """Append one event of type ``kind``, stamped with the clock unless ``fields`` give ``at``."""
@@ -256,7 +251,7 @@ class Portal:
         """Unpack, digest, archive, and register an incoming package."""
         incoming = Path(tempfile.mkdtemp(dir=self._quarantine_dir, prefix=".incoming-"))
         try:
-            unpack_archive(archive_bytes, incoming, max_bytes=self.config.max_archive_bytes)
+            unpack_archive(archive_bytes, incoming)
             load_manifest(incoming)
             package_digest = digest_package(incoming)
 
@@ -266,7 +261,7 @@ class Portal:
                     if (
                         existing.author_id == author_id
                         and existing.package_digest.value == package_digest.value
-                        and received_at - existing.received_at <= self.config.duplicate_window_seconds
+                        and received_at - existing.received_at <= DUPLICATE_WINDOW_SECONDS
                     ):
                         raise DuplicateSubmission(existing.submission_id)
                 submission_id = _submission_id(package_digest, received_at, author_id)
@@ -283,10 +278,9 @@ class Portal:
                     package_digest=package_digest,
                     archive_blob=archive_blob,
                 )
-                self._write_submission(submission)
-                self._audit("submission-received", submission_id=submission_id, author_id=author_id,
-                            package_digest=package_digest.hex, archive_blob=archive_blob, at=received_at)
-                return submission
+                return self._commit(submission, "submission-received", submission_id=submission_id,
+                                    author_id=author_id, package_digest=package_digest.hex,
+                                    archive_blob=archive_blob, at=received_at)
         finally:
             if incoming.exists():
                 shutil.rmtree(incoming, ignore_errors=True)
@@ -302,15 +296,7 @@ class Portal:
         try:
             try:
                 manifest = load_manifest(package_root)
-                record = execute(
-                    package_root,
-                    manifest,
-                    limits=ExecutionLimits(
-                        max_seconds=self.config.max_seconds,
-                        max_output_bytes=self.config.max_output_bytes,
-                    ),
-                    work_dir=self._runs_dir / submission_id,
-                )
+                record = execute(package_root, manifest, self._runs_dir / submission_id, limits=RUN_LIMITS)
                 if record.package_digest != submission.package_digest:
                     raise PackageChanged(f"ran {record.package_digest.hex}, submitted {submission.package_digest.hex}")
                 bundle = build_bundle(record, self.provider, now=self.clock())
@@ -326,7 +312,7 @@ class Portal:
             # a fault outside the package (a full disk, say) hands the claim back instead of stranding it
             if self._submissions[submission_id].state == STATE_RUNNING:
                 self._remember(replace(submission, state=STATE_RECEIVED))
-                with contextlib.suppress(OSError):  # the record on disk is swept at the next start
+                with contextlib.suppress(OSError, AuditLogBroken):  # the record on disk is swept at the next start
                     self._transition(submission, STATE_RECEIVED)
             raise
 
@@ -355,7 +341,7 @@ class Portal:
     def _verify_archived_package(self, bundle: ProofBundle, submission: Submission) -> Verdict:
         """Recompute the package digest from archived bytes, not trusting the record."""
         try:
-            archived = digest_archive(self.blobs.get(submission.archive_blob), self.config.max_archive_bytes)
+            archived = digest_archive(self.blobs.get(submission.archive_blob))
         except (BlobCorrupt, BlobMissing):
             return Verdict.reject(DIGEST_MISMATCH, "archived package blob is missing or fails its content address")
         except ArchiveMalformed as exc:

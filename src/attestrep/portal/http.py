@@ -5,9 +5,9 @@ raw bytes. Domain failures map to 4xx with ``{"error": name, "detail":
 message}``, and an audit log changed under the portal to 503
 ``AuditLogBroken``; nothing portal-internal leaks into responses. A body is
 read only to its declared ``Content-Length``: a missing one is 411, one that
-is not a decimal number is 400, one over ``max_archive_bytes`` is 413, each
-answered before any of the body is read and followed by closing the
-connection. A route that reads no body (``process``, every GET, 404)
+is not a decimal number is 400, one over ``MAX_ARCHIVE_BYTES`` (1 GiB) is
+413, each answered before any of the body is read and followed by closing
+the connection. A route that reads no body (``process``, every GET, 404)
 closes the connection after a request that declares one.
 """
 
@@ -18,7 +18,7 @@ import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from attestrep.archive import ArchiveMalformed
+from attestrep.archive import MAX_ARCHIVE_BYTES, ArchiveMalformed
 from attestrep.package_model import PackageError
 from attestrep.portal.audit import AuditLogBroken
 from attestrep.portal.core import (
@@ -92,7 +92,7 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
         if header is None:
             raise RequestRefused(411, "LengthRequired", "a body needs a Content-Length")
         length = _count(header, "Content-Length")
-        if length > self.portal.config.max_archive_bytes:
+        if length > MAX_ARCHIVE_BYTES:
             raise RequestRefused(413, "PayloadTooLarge", f"body of {length} bytes is over the limit")
         return self.rfile.read(length)
 

@@ -1,11 +1,14 @@
 """Execute a package entrypoint in an isolated working copy and record the run.
 
 The original tree is never touched: the entrypoint runs inside a fresh copy
-with a scrubbed environment (PATH/HOME/LANG allowlist), stdout and stderr
-stream to log files beside the copy, and declared outputs are digested
-while they are snapshotted after the run. Copy-on-run substitutes for
-VM/container isolation at desk scale; the data flow and proof binding are
-the same.
+with a scrubbed environment (PATH/HOME/LANG allowlist) as the leader of
+its own process group, stdout and stderr stream to log files beside the
+copy, and declared outputs are digested while they are snapshotted after
+the run. The whole group is killed once the wait for the entrypoint ends,
+whether it exited, ran out of time or was interrupted, so no process it
+left in the background writes to the outputs during or after the snapshot.
+Copy-on-run substitutes for VM/container isolation at desk scale; the data
+flow and proof binding are the same.
 
 Sandbox layout under ``work_dir``::
 
@@ -18,17 +21,17 @@ Sandbox layout under ``work_dir``::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import os
 import shutil
+import signal
 import stat
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, fields
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from attestrep.canonical import Wire, wire
@@ -45,8 +48,6 @@ logger = logging.getLogger(__name__)
 
 ENV_ALLOWLIST = ("PATH", "HOME", "LANG")
 
-_GIB = Decimal(1 << 30)
-_CENTS4 = Decimal("0.0001")
 _CHUNK = 1 << 20
 
 
@@ -123,29 +124,6 @@ class ExecutionRecord(ExecutionSummary):
         return ExecutionSummary(**{f.name: getattr(self, f.name) for f in fields(ExecutionSummary)})
 
 
-@dataclass(frozen=True)
-class CostRates:
-    hourly_rate_usd: Decimal
-    storage_usd_per_gib: Decimal = Decimal("0")
-
-    def __post_init__(self) -> None:
-        if self.hourly_rate_usd <= 0:
-            raise ValueError("hourly_rate_usd must be positive")
-        if self.storage_usd_per_gib < 0:
-            raise ValueError("storage_usd_per_gib must be non-negative")
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    hourly_rate_usd: Decimal
-    compute_cost_usd: Decimal
-    storage_cost_usd: Decimal
-
-    @property
-    def total_usd(self) -> Decimal:
-        return self.compute_cost_usd + self.storage_cost_usd
-
-
 def _resolve_command(entrypoint: Path) -> list[str]:
     if not entrypoint.is_file():
         raise EntrypointMissing(str(entrypoint))
@@ -212,16 +190,15 @@ def _copy_regular(src: str, dst: str) -> None:
 def execute(
     root: str | Path,
     manifest: PackageManifest,
+    work_dir: str | Path,
     limits: ExecutionLimits = ExecutionLimits(),
-    work_dir: str | Path | None = None,
     nonce: bytes | None = None,
 ) -> ExecutionRecord:
     """Run ``manifest.entrypoint`` in a fresh copy of ``root``.
 
     ``work_dir`` receives the sandbox and log files and is kept for the
-    caller (a temporary directory is created when omitted). ``nonce``
-    overrides the per-run random nonce; only tests and the reproducible
-    CLI path should pass it.
+    caller. ``nonce`` overrides the per-run random nonce; only tests and
+    the benchmark pass it.
     """
     if nonce is None:
         nonce = os.urandom(32)
@@ -229,7 +206,7 @@ def execute(
         raise ValueError("nonce must be 32 bytes")
 
     # absolute: the child runs in the sandbox, so a relative entrypoint path would miss it
-    work = Path(work_dir).absolute() if work_dir is not None else Path(tempfile.mkdtemp(prefix="attestrep-run-"))
+    work = Path(work_dir).absolute()
     work.mkdir(parents=True, exist_ok=True)
     tree = work / "tree"
     if tree.exists():
@@ -262,13 +239,17 @@ def execute(
     started_at = int(time.time())
     started_clock = time.monotonic()
     with stdout_log.open("wb") as out_fh, stderr_log.open("wb") as err_fh:
-        proc = subprocess.Popen(command, cwd=tree, env=env, stdout=out_fh, stderr=err_fh)
+        proc = subprocess.Popen(command, cwd=tree, env=env, stdout=out_fh, stderr=err_fh, start_new_session=True)
         try:
             exit_status = proc.wait(timeout=limits.max_seconds)
         except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
             raise TimeLimitExceeded(limits.max_seconds) from None
+        finally:
+            # on every way out (exit, timeout, an interrupt): nothing the entrypoint
+            # left running may change the outputs that are about to be read
+            with contextlib.suppress(ProcessLookupError):  # nothing of the group is left
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
     finished_at = int(time.time())
     wall_seconds = round(time.monotonic() - started_clock, 3)
 
@@ -294,19 +275,3 @@ def execute(
         nonce=nonce,
     )
 
-
-def estimate_cost(record: ExecutionRecord, rates: CostRates) -> CostEstimate:
-    """Dollar cost of a run: VM time plus storage, exact to 4 decimal places.
-
-    Stored bytes are the package plus the output snapshot, the two trees
-    the portal archives.
-    """
-    wall = Decimal(str(record.wall_seconds))
-    compute = (rates.hourly_rate_usd * wall / Decimal(3600)).quantize(_CENTS4, rounding=ROUND_HALF_UP)
-    stored_bytes = Decimal(record.package_digest.total_bytes + record.output_digest.total_bytes)
-    storage = (rates.storage_usd_per_gib * stored_bytes / _GIB).quantize(_CENTS4, rounding=ROUND_HALF_UP)
-    return CostEstimate(
-        hourly_rate_usd=rates.hourly_rate_usd,
-        compute_cost_usd=compute,
-        storage_cost_usd=storage,
-    )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attestrep import archive
 from attestrep.archive import ArchiveMalformed, digest_archive, pack_tree, unpack_archive
 from attestrep.package_model import digest_package
 from oracles import naive_tree_digest
@@ -163,3 +164,34 @@ def test_digest_archive_agrees_with_unpacked_tree(members) -> None:
     except ArchiveMalformed:
         got = None
     assert got == expected
+
+
+def test_member_count_is_capped(tmp_path: Path, monkeypatch) -> None:
+    monkeypatch.setattr(archive, "MAX_MEMBERS", 6)
+    members = [("d", None)] + [(f"d/f{i}", b"") for i in range(5)]  # a directory header counts too
+    assert digest_archive(make_tar(members)).file_count == 5
+    unpack_archive(make_tar(members), tmp_path / "at-cap")
+    surplus = make_tar(members + [("d/f5", b"")])
+    with pytest.raises(ArchiveMalformed, match="more than 6 members"):
+        digest_archive(surplus)
+    with pytest.raises(ArchiveMalformed, match="more than 6 members"):
+        unpack_archive(surplus, tmp_path / "over-cap")
+
+
+def test_member_cap_stops_before_the_remaining_headers(monkeypatch) -> None:
+    monkeypatch.setattr(archive, "MAX_MEMBERS", 5)
+    headers_read = []
+    next_header = tarfile.TarFile.next
+
+    def counted(self):
+        headers_read.append(1)
+        return next_header(self)
+
+    monkeypatch.setattr(tarfile.TarFile, "next", counted)
+    reads = []
+    for count in (20, 2000):
+        headers_read.clear()
+        with pytest.raises(ArchiveMalformed):
+            digest_archive(make_tar([(f"f{i}", b"") for i in range(count)]))
+        reads.append(len(headers_read))
+    assert reads[0] == reads[1]  # the refusal reads the same headers however many follow

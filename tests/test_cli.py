@@ -133,33 +133,6 @@ def test_verify_against_archive_digest_flag(answer42: Path, tmp_path: Path, caps
     capsys.readouterr()
 
 
-def test_nonce_seed_reproducible(answer42: Path, tmp_path: Path, capsys) -> None:
-    from attestrep.bundle import parse_bundle
-
-    for name in ("one", "two"):
-        code = main(
-            [
-                "attest",
-                str(answer42),
-                "-o",
-                str(tmp_path / f"{name}.arproof"),
-                "--provider-seed",
-                SEED_HEX,
-                "--nonce-seed",
-                "golden",
-                "--work-dir",
-                str(tmp_path / f"work-{name}"),
-            ]
-        )
-        assert code == 0
-    capsys.readouterr()
-    one = parse_bundle((tmp_path / "one.arproof").read_bytes())
-    two = parse_bundle((tmp_path / "two.arproof").read_bytes())
-    assert one.execution.nonce == two.execution.nonce
-    assert one.package_digest == two.package_digest
-    assert one.quote.report_data == two.quote.report_data
-
-
 def test_run_command_json(answer42: Path, tmp_path: Path, capsys) -> None:
     code = main(["run", str(answer42), "--work-dir", str(tmp_path / "work"), "--json"])
     assert code == 0
@@ -277,3 +250,18 @@ def test_domain_error_exits_1(tmp_path: Path, capsys) -> None:
     empty.mkdir()
     assert main(["run", str(empty)]) == 1
     assert "attestrep.manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d, pkg: ["verify", str(d / "missing.arproof"), "--root", "00" * 32],
+        lambda d, pkg: ["submit", str(d / "missing.tar"), "--portal", "http://127.0.0.1:9"],
+        lambda d, pkg: ["report", "--csv", str(d / "missing.csv")],
+        lambda d, pkg: ["attest", str(pkg), "-o", str(d / "no-dir" / "p.arproof"), "--work-dir", str(d / "work")],
+    ],
+    ids=["verify-missing-bundle", "submit-missing-archive", "report-missing-csv", "attest-into-missing-dir"],
+)
+def test_unreadable_or_unwritable_file_is_an_error(argv, answer42: Path, tmp_path: Path, capsys) -> None:
+    assert main(argv(tmp_path, answer42)) == 1
+    assert capsys.readouterr().err.startswith("error: ")

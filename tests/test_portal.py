@@ -12,7 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from attestrep.archive import ArchiveMalformed, pack_tree, unpack_archive
+from attestrep import archive as archive_module
+from attestrep.archive import MAX_ARCHIVE_BYTES, ArchiveMalformed, pack_tree, unpack_archive
 from attestrep.bundle import parse_bundle
 from attestrep.canonical import SchemaError, canonical_json_bytes
 from attestrep.package_model import ManifestMissing, PathRuleViolation, UnreadableFile, digest_package
@@ -22,15 +23,15 @@ from attestrep.portal import (
     BlobStore,
     DuplicateSubmission,
     Portal,
-    PortalConfig,
     Submission,
     UnknownSubmission,
     UnknownToken,
     WrongState,
     audit_check,
 )
-from attestrep.portal import audit
+from attestrep.portal import audit, core
 from attestrep.portal.audit import AuditEntry, AuditLog, AuditLogBroken
+from attestrep.runner import ExecutionLimits, execute
 from attestrep.verifier import DIGEST_MISMATCH, verify_bundle
 from conftest import PROVIDER_SEED, make_package
 
@@ -54,6 +55,14 @@ def _tar(members: list[tuple[str, bytes]]) -> bytes:
             info.size = len(content)
             tar.addfile(info, io.BytesIO(content))
     return buffer.getvalue()
+
+
+def _break_the_audit_log(portal: Portal) -> None:
+    """Change line 0 under the open log and let a read find it: from then on the log refuses appends."""
+    path = portal.audit_log.path
+    path.write_bytes(path.read_bytes().replace(b'"seq":0', b'"seq":9', 1))
+    with pytest.raises(AuditLogBroken):
+        portal.audit_entries(0)
 
 
 class TestArchive:
@@ -173,15 +182,19 @@ class TestSubmit:
 
     def test_duplicate_outside_window_allowed(self, tmp_path: Path, archive: bytes) -> None:
         fake_time = [1_700_000_000]
-        portal = Portal(
-            tmp_path / "store",
-            config=PortalConfig(duplicate_window_seconds=60),
-            provider_seed=PROVIDER_SEED,
-            clock=lambda: fake_time[0],
-        )
+        portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED, clock=lambda: fake_time[0])
         portal.submit(archive, author_id="alice")
-        fake_time[0] += 3600
+        fake_time[0] += core.DUPLICATE_WINDOW_SECONDS + 1
         assert portal.submit(archive, author_id="alice").state == "Received"
+
+    def test_duplicate_at_exactly_the_window(self, tmp_path: Path, archive: bytes) -> None:
+        fake_time = [1_700_000_000]
+        portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED, clock=lambda: fake_time[0])
+        first = portal.submit(archive, author_id="alice")
+        fake_time[0] += core.DUPLICATE_WINDOW_SECONDS
+        with pytest.raises(DuplicateSubmission) as excinfo:
+            portal.submit(archive, author_id="alice")
+        assert excinfo.value.submission_id == first.submission_id
 
     def test_submit_reads_no_records(self, portal: Portal, tmp_path: Path, monkeypatch) -> None:
         for i in range(5):
@@ -216,6 +229,16 @@ class TestSubmit:
         assert [path.name for path in submissions.iterdir() if path.name.startswith(".tmp-")] == []
         assert portal._submissions == {}
         monkeypatch.setattr(os, "replace", replace)
+        assert portal.submit(archive, author_id="alice").state == "Received"
+
+    def test_member_count_is_capped(self, portal: Portal, archive: bytes, monkeypatch) -> None:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            count = len(tar.getmembers())
+        monkeypatch.setattr(archive_module, "MAX_MEMBERS", count - 1)
+        with pytest.raises(ArchiveMalformed):
+            portal.submit(archive, author_id="alice")
+        assert portal._submissions == {}
+        monkeypatch.setattr(archive_module, "MAX_MEMBERS", count)
         assert portal.submit(archive, author_id="alice").state == "Received"
 
     def test_missing_manifest(self, portal: Portal, tmp_path: Path) -> None:
@@ -632,6 +655,26 @@ class TestAudit:
         assert excinfo.value.seq == 1
         assert log.path.read_bytes() == changed
 
+    def test_refused_append_registers_no_submission(self, portal: Portal, archive: bytes, tmp_path: Path) -> None:
+        received = portal.submit(archive, author_id="alice")
+        _break_the_audit_log(portal)
+        records = portal.store_dir / "submissions"
+        before = sorted(path.name for path in records.iterdir())
+        other = pack_tree(make_package(tmp_path / "other", extra_files={"data.txt": "other\n"}))
+        with pytest.raises(AuditLogBroken):
+            portal.submit(other, author_id="bob")
+        assert list(portal._submissions) == [received.submission_id]
+        assert sorted(path.name for path in records.iterdir()) == before
+
+    def test_refused_append_leaves_the_submission_received(self, portal: Portal, archive: bytes) -> None:
+        submission_id = portal.submit(archive, author_id="alice").submission_id
+        _break_the_audit_log(portal)
+        with pytest.raises(AuditLogBroken):
+            portal.process(submission_id)
+        assert portal.get_submission(submission_id).state == "Received"
+        record = json.loads((portal.store_dir / "submissions" / f"{submission_id}.json").read_bytes())
+        assert record["state"] == "Received"
+
     @pytest.mark.parametrize(
         "change",
         [{"seq": -1}, {"seq": True}, {"event": []}, {"prev_hash": "00"}, {"entry_hash": "AA" * 32}, {"extra": 1}],
@@ -642,6 +685,30 @@ class TestAudit:
         assert AuditEntry.from_dict(entry.to_dict()) == entry
         with pytest.raises(SchemaError):
             AuditEntry.from_dict({**entry.to_dict(), **change})
+
+
+class TestFixedLimits:
+    def test_limits_are_the_ones_always_served(self) -> None:
+        assert core.RUN_LIMITS == ExecutionLimits(max_seconds=600.0, max_output_bytes=1 << 30)
+        assert core.DUPLICATE_WINDOW_SECONDS == 86_400
+        assert MAX_ARCHIVE_BYTES == 1 << 30
+
+    def test_process_runs_under_the_run_limits(self, portal: Portal, archive: bytes, monkeypatch) -> None:
+        seen = []
+
+        def recording_execute(*args, **kwargs):
+            seen.append(kwargs["limits"])
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(core, "execute", recording_execute)
+        assert portal.process(portal.submit(archive).submission_id).state == "Proved"
+        assert seen == [core.RUN_LIMITS]
+
+    def test_new_store_provider_file_bytes_are_frozen(self, tmp_path: Path) -> None:
+        portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED, clock=lambda: 1_700_000_000)
+        data = (portal.store_dir / "provider.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == "6924254633887eaa90c7f4a20d1db9a84fe7cc9a5e75fac7016c5c2f6b82e4d3"
+        assert portal.trust_roots == (portal.provider.root_public_key,)
 
 
 class TestLifecycleAndRecovery:

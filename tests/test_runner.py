@@ -1,21 +1,19 @@
 from __future__ import annotations
 
 import os
-from decimal import Decimal
+import subprocess
+import time
 from pathlib import Path
 
 import pytest
 
-from attestrep.package_model import PackageDigest, UnreadableFile, digest_package, load_manifest
+from attestrep.package_model import UnreadableFile, digest_package, load_manifest
 from attestrep.runner import (
-    CostRates,
     EntrypointMissing,
     ExecutionLimits,
-    ExecutionRecord,
     NoDeclaredOutputsMatched,
     OutputLimitExceeded,
     TimeLimitExceeded,
-    estimate_cost,
     execute,
 )
 from conftest import make_package, run_package
@@ -68,6 +66,47 @@ def test_time_limit(tmp_path: Path) -> None:
     with pytest.raises(TimeLimitExceeded):
         execute(package, load_manifest(package), limits=ExecutionLimits(max_seconds=0.3),
                 work_dir=tmp_path / "work")
+
+
+def _leaves_a_late_writer(marker: Path, then: str) -> str:
+    """A run.sh whose background subshell writes ``marker`` a second after it starts."""
+    return f"#!/bin/sh\n(sleep 1; echo late > '{marker}') &\n{then}\n"
+
+
+def test_time_limit_kills_the_whole_group(tmp_path: Path) -> None:
+    marker = tmp_path / "marker"
+    package = make_package(tmp_path / "pkg", script=_leaves_a_late_writer(marker, "sleep 10"))
+    with pytest.raises(TimeLimitExceeded):
+        execute(package, load_manifest(package), tmp_path / "work", limits=ExecutionLimits(max_seconds=0.3))
+    time.sleep(1.5)
+    assert not marker.exists()
+
+
+def test_clean_exit_kills_what_it_left_running(tmp_path: Path) -> None:
+    marker = tmp_path / "marker"
+    script = _leaves_a_late_writer(marker, "mkdir -p results\necho 42 > results/answer.txt")
+    package = make_package(tmp_path / "pkg", script=script)
+    assert execute(package, load_manifest(package), tmp_path / "work").exit_status == 0
+    time.sleep(1.5)
+    assert not marker.exists()
+
+
+def test_interrupted_wait_kills_the_group(tmp_path: Path, monkeypatch) -> None:
+    # the run has its own session, so a Ctrl-C at the terminal reaches only the caller
+    marker = tmp_path / "marker"
+    package = make_package(tmp_path / "pkg", script=_leaves_a_late_writer(marker, "sleep 10"))
+    wait = subprocess.Popen.wait
+
+    def interrupted(self, timeout=None):
+        if timeout is not None:
+            raise KeyboardInterrupt
+        return wait(self)
+
+    monkeypatch.setattr(subprocess.Popen, "wait", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        execute(package, load_manifest(package), tmp_path / "work")
+    time.sleep(1.5)
+    assert not marker.exists()
 
 
 def test_entrypoint_missing(tmp_path: Path) -> None:
@@ -168,49 +207,3 @@ def test_nonce_freshness_over_1000_runs(tmp_path: Path) -> None:
         for i in range(1000)
     }
     assert len(nonces) == 1000
-
-
-def _record(wall_seconds: float, package_bytes: int = 0, output_bytes: int = 0) -> ExecutionRecord:
-    return ExecutionRecord(
-        package_digest=PackageDigest(value=b"\x01" * 32, file_count=1, total_bytes=package_bytes),
-        output_digest=PackageDigest(value=b"\x02" * 32, file_count=1, total_bytes=output_bytes),
-        exit_status=0,
-        wall_seconds=wall_seconds,
-        stdout_log_digest=b"\x03" * 32,
-        stderr_log_digest=b"\x04" * 32,
-        started_at=100,
-        finished_at=100 + int(wall_seconds),
-        nonce=b"\x05" * 32,
-    )
-
-
-class TestEstimateCost:
-    def test_one_hour_at_calibrated_rate(self) -> None:
-        estimate = estimate_cost(_record(3600.0), CostRates(hourly_rate_usd=Decimal("1.57")))
-        assert estimate.compute_cost_usd == Decimal("1.5700")
-
-    def test_zero_wall_time(self) -> None:
-        estimate = estimate_cost(_record(0.0), CostRates(hourly_rate_usd=Decimal("1.57")))
-        assert estimate.compute_cost_usd == Decimal("0.0000")
-
-    def test_mean_runtime_reproduces_mean_cost(self) -> None:
-        # rate solved so a 2.3 h mean run costs the 1.57 cross-platform mean
-        estimate = estimate_cost(_record(8280.0), CostRates(hourly_rate_usd=Decimal("0.6826")))
-        assert abs(estimate.compute_cost_usd - Decimal("1.57")) <= Decimal("0.01")
-
-    def test_storage_component(self) -> None:
-        rates = CostRates(hourly_rate_usd=Decimal("1"), storage_usd_per_gib=Decimal("0.10"))
-        estimate = estimate_cost(_record(0.0, package_bytes=1 << 29, output_bytes=1 << 29), rates)
-        assert estimate.storage_cost_usd == Decimal("0.1000")
-        assert estimate.total_usd == Decimal("0.1000")
-
-    def test_rounding_half_up(self) -> None:
-        # 1.0 * 0.18 / 3600 h = 0.00005 -> rounds up at 4 places
-        estimate = estimate_cost(_record(0.18), CostRates(hourly_rate_usd=Decimal("1")))
-        assert estimate.compute_cost_usd == Decimal("0.0001")
-
-    def test_rates_validated(self) -> None:
-        with pytest.raises(ValueError):
-            CostRates(hourly_rate_usd=Decimal("0"))
-        with pytest.raises(ValueError):
-            CostRates(hourly_rate_usd=Decimal("1"), storage_usd_per_gib=Decimal("-1"))
