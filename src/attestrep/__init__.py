@@ -6,28 +6,12 @@ produced. Journals and readers check the bundle against a pinned trust root
 in milliseconds, without re-running anything. A small portal service covers
 the hosted flow: submit, process, archive, and public verification, with a
 hash-chained audit log. An economics module evaluates when the scheme is
-worth adopting.
+worth adopting. Import each name from its own module: this root loads none
+of them, so a reader that only verifies never loads the runner or portal.
 """
 
-from attestrep.package_model import PackageDigest, PackageManifest, digest_package, load_manifest
-from attestrep.attestation import AttestationProvider, ProviderConfig
-from attestrep.bundle import ProofBundle, build_bundle, parse_bundle, serialize_bundle
-from attestrep.verifier import Verdict, verify_against_archive, verify_bundle
-
-__all__ = [
-    "AttestationProvider",
-    "PackageDigest",
-    "PackageManifest",
-    "ProofBundle",
-    "ProviderConfig",
-    "Verdict",
-    "build_bundle",
-    "digest_package",
-    "load_manifest",
-    "parse_bundle",
-    "serialize_bundle",
-    "verify_against_archive",
-    "verify_bundle",
-]
-
 __version__ = "0.1.0"
+
+
+class AttestrepError(Exception):
+    """Base of every domain failure: a refused input or a run that cannot be attested."""

@@ -1,5 +1,8 @@
 """Package archive format: plain ustar tar, package path rules enforced.
 
+A gzip, bzip2 or xz archive is refused as ``ArchiveMalformed``: nothing
+writes one, and a few hundred KiB of compressed zeros unpack to the size cap.
+
 Packing is deterministic (sorted paths, zeroed metadata) so archiving the
 same tree twice gives identical bytes. Unpacking and in-memory digesting
 share one strict reading, so an archive's digest always equals that of the
@@ -21,6 +24,7 @@ import shutil
 import tarfile
 from pathlib import Path
 
+from attestrep import AttestrepError
 from attestrep.package_model import (
     PackageDigest,
     PathRuleViolation,
@@ -39,7 +43,7 @@ MAX_ARCHIVE_BYTES = 1 << 30
 MAX_MEMBERS = 100_000
 
 
-class ArchiveMalformed(Exception):
+class ArchiveMalformed(AttestrepError):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
@@ -69,7 +73,7 @@ def _members(data: bytes, max_bytes: int) -> tuple[tarfile.TarFile, list[tuple[s
     dirs: set[str] = set()
     total = 0
     try:
-        tar = tarfile.open(fileobj=io.BytesIO(data), mode="r:*", encoding="utf-8")
+        tar = tarfile.open(fileobj=io.BytesIO(data), mode="r:", encoding="utf-8")
         for count, member in enumerate(tar, 1):  # one header at a time, never the whole list first
             if count > MAX_MEMBERS:
                 raise ArchiveMalformed(f"archive has more than {MAX_MEMBERS} members")

@@ -25,6 +25,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from attestrep import AttestrepError
 from attestrep.canonical import Wire, canonical_json_bytes, wire
 
 QUOTE_VERSION = 1
@@ -44,7 +45,7 @@ DEFAULT_PROVIDER_ID = "SIM-VMTEE-1"
 DEFAULT_VALIDITY_SECONDS = 10 * 365 * 24 * 3600
 
 
-class AttestationError(Exception):
+class AttestationError(AttestrepError):
     """Base class for attestation provider failures."""
 
 

@@ -7,6 +7,10 @@ SHA-256("attestrep-image-v1" || package_digest). Changing any file in the
 package or any produced output changes a digest, which breaks the quote
 binding, so a bundle can never be moved to different code or results.
 
+``ExecutionSummary`` is defined here beside the ``ProofBundle`` that carries
+it, and the runner's ``ExecutionRecord`` extends it: reading a bundle never
+loads the runner.
+
 Bundles serialize to canonical JSON (``.arproof`` files); bundle_id is the
 SHA-256 of the canonical body (every field but bundle_id) and doubles as
 the portal's verification token. Parsing is the field tables of
@@ -18,14 +22,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
+from attestrep import AttestrepError
 from attestrep.attestation import AttestationProvider, AttestationQuote, EndorsementChain
 from attestrep.canonical import SchemaError, Wire, canonical_json_bytes, sha256, wire
 from attestrep.package_model import PackageDigest
-from attestrep.runner import ExecutionRecord, ExecutionSummary
+
+if TYPE_CHECKING:  # the reader path never loads the runner
+    from attestrep.runner import ExecutionRecord
 
 FORMAT_VERSION = 1
-BUNDLE_EXTENSION = ".arproof"
 
 _IMAGE_DOMAIN = b"attestrep-image-v1"
 _ZERO_TAIL = b"\x00" * 32
@@ -33,7 +40,7 @@ _ZERO_TAIL = b"\x00" * 32
 _BODY_START = len('{"bundle_id":"') + 64 + len('",')
 
 
-class BundleError(Exception):
+class BundleError(AttestrepError):
     """Base class for bundle construction and parsing failures."""
 
 
@@ -66,6 +73,19 @@ def compute_measurement(package_digest_value: bytes) -> bytes:
 def compute_report_data(package_digest_value: bytes, output_digest_value: bytes, nonce: bytes) -> bytes:
     """64-byte report_data binding package, outputs, and run nonce."""
     return sha256(package_digest_value + output_digest_value + nonce) + _ZERO_TAIL
+
+
+@dataclass(frozen=True)
+class ExecutionSummary(Wire):
+    """What a run states about itself inside a proof bundle."""
+
+    exit_status: int
+    wall_seconds: float = wire(minimum=0)
+    started_at: int = wire(minimum=0)
+    finished_at: int = wire(minimum=0)
+    stdout_log_digest: bytes = wire(hex_size=32)
+    stderr_log_digest: bytes = wire(hex_size=32)
+    nonce: bytes = wire(hex_size=32)
 
 
 @dataclass(frozen=True)

@@ -9,61 +9,21 @@ The econ calculators print JSON always (pretty by default, canonical with
 Environment: ``ATTESTREP_STORE`` default portal store path,
 ``ATTESTREP_ROOTS`` comma-separated trusted root key hexes. Flags override
 the environment.
+
+Each command imports what it runs when it runs: ``verify`` loads the
+verifier, never the runner, the portal, the archive reader or HTTP code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
-import tempfile
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
-from attestrep.archive import ArchiveMalformed, pack_tree
-from attestrep.attestation import (
-    DEFAULT_VALIDITY_SECONDS,
-    AttestationError,
-    AttestationProvider,
-    ProviderConfig,
-)
-from attestrep.bundle import BundleError, build_bundle, parse_bundle, serialize_bundle
-from attestrep.canonical import canonical_json_bytes
-from attestrep.economics import (
-    AdoptionParams,
-    ComplianceParams,
-    Regime,
-    StringencyParams,
-    adoption,
-    complies,
-    cost_comparison,
-    manipulate_payoff,
-    min_sanction,
-    stringency_optimum,
-)
-from attestrep.evaluation import EvaluationError, aggregate, ingest_csv, load_fixture, render_text
-from attestrep.package_model import PackageError, digest_package, load_manifest
-from attestrep.portal.core import Portal, PortalError
-from attestrep.portal.http import make_server
-from attestrep.runner import ExecutionLimits, RunnerError, execute
-from attestrep.verifier import Verdict, verify_against_archive, verify_bundle
-
-logger = logging.getLogger(__name__)
-
-_DOMAIN_ERRORS = (
-    PackageError,
-    AttestationError,
-    RunnerError,
-    BundleError,
-    PortalError,
-    EvaluationError,
-    ArchiveMalformed,
-    OSError,  # an unreadable or unwritable file, or an unreachable portal (URLError)
-)
+from attestrep import AttestrepError
 
 
 class UsageError(Exception):
@@ -82,6 +42,7 @@ def _hex_bytes(length: int):
 
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
+        from attestrep.canonical import canonical_json_bytes
         sys.stdout.write(canonical_json_bytes(payload).decode("utf-8") + "\n")
     else:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -91,6 +52,8 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
+    from attestrep.archive import pack_tree
+    from attestrep.package_model import digest_package, load_manifest
     load_manifest(args.directory)
     digest = digest_package(args.directory)
     Path(args.output).write_bytes(pack_tree(args.directory))
@@ -100,6 +63,10 @@ def _cmd_pack(args: argparse.Namespace) -> int:
 
 
 def _run_package(args: argparse.Namespace):
+    import tempfile
+
+    from attestrep.package_model import load_manifest
+    from attestrep.runner import ExecutionLimits, execute
     manifest = load_manifest(args.directory)
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="attestrep-run-")
     record = execute(args.directory, manifest, work_dir, limits=ExecutionLimits(max_seconds=args.max_seconds))
@@ -123,10 +90,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_attest(args: argparse.Namespace) -> int:
+    from attestrep.attestation import DEFAULT_VALIDITY_SECONDS, AttestationProvider, ProviderConfig
+    from attestrep.bundle import build_bundle, serialize_bundle
     seed = args.provider_seed if args.provider_seed is not None else os.urandom(32)
-    provider = AttestationProvider(
-        ProviderConfig(root_secret_seed=seed, attestation_validity=args.validity)
-    )
+    validity = args.validity if args.validity is not None else DEFAULT_VALIDITY_SECONDS
+    provider = AttestationProvider(ProviderConfig(root_secret_seed=seed, attestation_validity=validity))
     record, work_dir = _run_package(args)
     bundle = build_bundle(record, provider)
     Path(args.output).write_bytes(serialize_bundle(bundle))
@@ -157,6 +125,9 @@ def _trust_roots(args: argparse.Namespace) -> list[bytes]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from attestrep.bundle import parse_bundle
+    from attestrep.package_model import digest_package
+    from attestrep.verifier import verify_against_archive, verify_bundle
     data = Path(args.bundle).read_bytes()
     now = args.now if args.now is not None else int(time.time())
     verdict = verify_bundle(data, _trust_roots(args), now=now)
@@ -173,6 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    import urllib.request
     data = Path(args.archive).read_bytes()
     request = urllib.request.Request(
         args.portal.rstrip("/") + "/v1/submissions",
@@ -183,7 +155,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     try:
         with urllib.request.urlopen(request) as response:
             body = json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
+    except urllib.request.HTTPError as exc:
         print(exc.read().decode("utf-8", "replace"), file=sys.stderr)
         return 1
     print(json.dumps(body, indent=2, sort_keys=True))
@@ -200,6 +172,8 @@ def _cmd_portal_serve(args: argparse.Namespace) -> int:
     host, _, port_text = args.listen.rpartition(":")
     if not host or not port_text.isdigit():
         raise UsageError(f"bad --listen address {args.listen!r}, expected host:port")
+    from attestrep.portal.core import Portal
+    from attestrep.portal.http import make_server
     portal = Portal(store, provider_seed=args.provider_seed)
     server = make_server(portal, host=host, port=int(port_text))
     actual_host, actual_port = server.server_address[:2]
@@ -215,6 +189,7 @@ def _cmd_portal_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_econ_comply(args: argparse.Namespace) -> int:
+    from attestrep.economics import ComplianceParams, Regime, complies, manipulate_payoff, min_sanction
     params = ComplianceParams(
         publication_value=args.b,
         sanction=args.s,
@@ -237,6 +212,7 @@ def _cmd_econ_comply(args: argparse.Namespace) -> int:
 
 
 def _cmd_econ_adopt(args: argparse.Namespace) -> int:
+    from attestrep.economics import AdoptionParams, adoption
     result = adoption(
         AdoptionParams(
             tee_cost_per_accepted=args.c_a,
@@ -250,6 +226,7 @@ def _cmd_econ_adopt(args: argparse.Namespace) -> int:
 
 
 def _cmd_econ_stringency(args: argparse.Namespace) -> int:
+    from attestrep.economics import StringencyParams, stringency_optimum
     result = stringency_optimum(
         StringencyParams(cost_scale=args.k, cost_exponent=args.m, benefit_slope=args.b),
         tee_available=args.tee_cost is not None,
@@ -260,6 +237,7 @@ def _cmd_econ_stringency(args: argparse.Namespace) -> int:
 
 
 def _cmd_econ_table(args: argparse.Namespace) -> int:
+    from attestrep.economics import AdoptionParams, cost_comparison
     table = cost_comparison(
         AdoptionParams(
             tee_cost_per_accepted=args.c_a,
@@ -277,6 +255,7 @@ def _cmd_econ_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from attestrep.evaluation import aggregate, ingest_csv, load_fixture, render_text
     data = Path(args.csv).read_bytes() if args.csv else load_fixture()
     report = aggregate(ingest_csv(data))
     if args.json:
@@ -312,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_arguments(attest)
     attest.add_argument("-o", "--output", required=True)
     attest.add_argument("--provider-seed", type=_hex_bytes(32), default=None)
-    attest.add_argument("--validity", type=int, default=DEFAULT_VALIDITY_SECONDS)
+    attest.add_argument("--validity", type=int, default=None)
     attest.set_defaults(func=_cmd_attest)
 
     verify = sub.add_parser("verify", help="verify a proof bundle")
@@ -392,10 +371,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    # OSError: an unreadable or unwritable file, or an unreachable portal (URLError)
+    except (AttestrepError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

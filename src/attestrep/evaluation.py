@@ -20,6 +20,8 @@ import io
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
 
+from attestrep import AttestrepError
+
 PROVIDERS = ("Azure", "Google")
 FIXTURE_NAME = "mnsc_vol70_batch1.csv"
 
@@ -35,7 +37,7 @@ REPORTED_FULL_PILOT = {
 }
 
 
-class EvaluationError(Exception):
+class EvaluationError(AttestrepError):
     """Base class for trial-data ingestion and aggregation failures."""
 
 

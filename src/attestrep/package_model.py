@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from attestrep import AttestrepError
 from attestrep.canonical import Wire, wire
 
 MANIFEST_NAME = "attestrep.manifest"
@@ -30,7 +31,7 @@ MANIFEST_NAME = "attestrep.manifest"
 _CHUNK = 1 << 20
 
 
-class PackageError(Exception):
+class PackageError(AttestrepError):
     """Base class for package digesting and manifest failures."""
 
 

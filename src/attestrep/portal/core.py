@@ -12,14 +12,15 @@ State and artifacts live in one store directory::
 One ``Portal`` owns a store: it reads every record once when it opens and
 then serves ids and tokens from memory, so two portals must not share a
 store. Every state change commits in one order (``Portal._commit``): the
-audit event is appended, then the record is written to a temp file and
-renamed over the old one, then the in-memory tables change, so a refused
-append (``AuditLogBroken``) or a failed write changes nothing after it. The
-bundle blob is written before the record flips to Proved, so a token
-resolves only once its proof is committed. On startup any submission stuck
-in Running is swept back to Received, so observable states after a crash
-are Received or terminal. A ``tokens/`` directory left by older versions is
-ignored. The limits are module constants, not settings: runs get
+record is written and fsynced to a temp file beside its path, then the
+audit event is appended, then the temp file is renamed over the old record,
+then the in-memory tables change. A failed write appends nothing, and a
+refused append (``AuditLogBroken``) removes the temp file, so neither
+changes anything after it. The bundle blob is written before the record
+flips to Proved, so a token resolves only once its proof is committed. On
+startup any submission stuck in Running is swept back to Received, so
+observable states after a crash are Received or terminal. A ``tokens/``
+directory left by older versions is ignored. The limits are module constants, not settings: runs get
 ``RUN_LIMITS``, archives ``archive.MAX_ARCHIVE_BYTES`` and
 ``archive.MAX_MEMBERS``, duplicates ``DUPLICATE_WINDOW_SECONDS``.
 """
@@ -38,6 +39,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from attestrep import AttestrepError
 from attestrep.archive import ArchiveMalformed, digest_archive, unpack_archive
 from attestrep.attestation import (
     DEFAULT_PROVIDER_ID,
@@ -49,7 +51,7 @@ from attestrep.bundle import BundleError, ProofBundle, build_bundle, parse_bundl
 from attestrep.canonical import canonical_json_bytes
 from attestrep.package_model import PackageDigest, PackageError, digest_package, load_manifest
 from attestrep.portal.audit import AuditCheck, AuditLog, AuditLogBroken, audit_check
-from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore, atomic_write
+from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore, atomic_write, staged_write
 from attestrep.runner import ExecutionLimits, RunnerError, execute
 from attestrep.verifier import DIGEST_MISMATCH, Verdict, verify_against_archive, verify_bundle
 
@@ -73,7 +75,7 @@ _TRANSITIONS = {
 }
 
 
-class PortalError(Exception):
+class PortalError(AttestrepError):
     """Base class for portal failures."""
 
 
@@ -204,18 +206,12 @@ class Portal:
         if submission.state == STATE_PROVED:
             self._tokens[submission.token] = submission.submission_id
 
-    def _write_submission(self, submission: Submission) -> None:
-        """Write a record to disk, then to the tables."""
-        atomic_write(
-            self._submissions_dir / f"{submission.submission_id}.json",
-            canonical_json_bytes(submission.to_dict()),
-        )
-        self._remember(submission)
-
     def _commit(self, submission: Submission, kind: str, **fields) -> Submission:
-        """Audit, then record, then tables: a log that refuses the event leaves the submission as it was."""
-        self._audit(kind, **fields)
-        self._write_submission(submission)
+        """Stage the record, audit, rename it into place, change the tables: an event names only a written record."""
+        path = self._submissions_dir / f"{submission.submission_id}.json"
+        with staged_write(path, canonical_json_bytes(submission.to_dict())):
+            self._audit(kind, **fields)
+        self._remember(submission)
         return submission
 
     def get_submission(self, submission_id: str) -> Submission:

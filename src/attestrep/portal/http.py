@@ -3,7 +3,9 @@
 JSON in and out except for archive upload and proof download, which are
 raw bytes. Domain failures map to 4xx with ``{"error": name, "detail":
 message}``, and an audit log changed under the portal to 503
-``AuditLogBroken``; nothing portal-internal leaks into responses. A body is
+``AuditLogBroken``; nothing portal-internal leaks into responses. What
+``http.server`` refuses itself (request line, headers, method) is named JSON
+with a status line too, even for an HTTP/0.9 request. A body is
 read only to its declared ``Content-Length``: a missing one is 411, one that
 is not a decimal number is 400, one over ``MAX_ARCHIVE_BYTES`` (1 GiB) is
 413, each answered before any of the body is read and followed by closing
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -58,6 +61,15 @@ def _count(text: str, what: str) -> int:
     if text.isascii() and text.isdigit() and len(text) <= 18:
         return int(text)
     raise RequestRefused(400, "BadRequest", f"{what} is not a decimal count: {text[:40]!r}")
+
+
+def _route(target: str) -> tuple[list[str], str]:
+    """The path segments and the query of a request target; one ``urlparse`` refuses is a 400."""
+    try:
+        url = urlparse(target)
+    except ValueError as exc:  # "http://[" is an invalid IPv6 host
+        raise RequestRefused(400, "BadRequest", f"request target does not parse: {exc}") from None
+    return [part for part in url.path.split("/") if part], url.query
 
 
 def _error_status(exc: Exception) -> int:
@@ -109,6 +121,19 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
     def _send_json(self, status: int, payload: dict) -> None:
         self._send(status, json.dumps(payload).encode("utf-8"))
 
+    def send_response_only(self, code: int, message: str | None = None) -> None:
+        # an HTTP/0.9 answer has no status line or headers, so no name: answer such a request as 1.0
+        if self.request_version == "HTTP/0.9":
+            self.request_version = "HTTP/1.0"
+        super().send_response_only(code, message)
+
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """The base class's own refusals (request line, headers, method) as named JSON, then a close."""
+        self.log_error("code %d, message %s", code, message)
+        phrase = HTTPStatus(code).phrase
+        self.close_connection = True
+        self._send_json(code, {"error": "".join(ch for ch in phrase if ch.isalnum()), "detail": message or phrase})
+
     def _send_error_json(self, exc: Exception) -> None:
         if isinstance(exc, RequestRefused):
             # an unread or unframed body must not be parsed as the next request
@@ -123,8 +148,8 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
             self._send_json(status, {"error": type(exc).__name__, "detail": str(exc)})
 
     def do_POST(self) -> None:
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
         try:
+            parts, _ = _route(self.path)
             if parts == ["v1", "submissions"]:
                 author = self.headers.get(AUTHOR_HEADER, "anonymous")
                 submission = self.portal.submit(self._read_body(), author_id=author)
@@ -140,17 +165,15 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(exc)
 
     def do_GET(self) -> None:
-        url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
         try:
+            parts, query = _route(self.path)
             if len(parts) == 3 and parts[:2] == ["v1", "submissions"]:
                 self._send_json(200, self.portal.get_submission(parts[2]).to_dict())
             elif len(parts) == 3 and parts[:2] == ["v1", "proofs"]:
                 result = self.portal.public_verify(parts[2])
                 self._send(200, result.bundle_bytes or b"", content_type="application/octet-stream")
             elif parts == ["v1", "audit-log"]:
-                query = parse_qs(url.query)
-                from_seq = _count(query.get("from_seq", ["0"])[0], "from_seq")
+                from_seq = _count(parse_qs(query).get("from_seq", ["0"])[0], "from_seq")
                 entries = [entry.to_dict() for entry in self.portal.audit_entries(from_seq=from_seq)]
                 self._send_json(200, {"entries": entries})
             else:

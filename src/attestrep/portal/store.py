@@ -7,17 +7,21 @@ half-written blob never sits at its final path.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 
-def atomic_write(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, fsync it, rename it over ``path``.
+@contextlib.contextmanager
+def staged_write(path: Path, data: bytes) -> Iterator[None]:
+    """Write ``data`` to a temp file beside ``path`` and fsync it; when the block ends, rename it over ``path``.
 
-    Readers see the old file or the new one, never a partial one; on any
-    failure the temp file is removed before the error propagates.
+    Readers see the old file or the new one, never a partial one. If the
+    write or the block fails, the temp file is removed, ``path`` is left as
+    it was, and the error propagates.
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
@@ -25,11 +29,18 @@ def atomic_write(path: Path, data: bytes) -> None:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
+        yield
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """``staged_write`` with nothing between the write and the rename."""
+    with staged_write(path, data):
+        pass
 
 
 class BlobMissing(KeyError):

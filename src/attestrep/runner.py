@@ -8,7 +8,8 @@ the run. The whole group is killed once the wait for the entrypoint ends,
 whether it exited, ran out of time or was interrupted, so no process it
 left in the background writes to the outputs during or after the snapshot.
 Copy-on-run substitutes for VM/container isolation at desk scale; the data
-flow and proof binding are the same.
+flow and proof binding are the same. A run's ``ExecutionRecord`` is the
+``attestrep.bundle.ExecutionSummary`` a proof carries plus the two digests.
 
 Sandbox layout under ``work_dir``::
 
@@ -34,7 +35,8 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from attestrep.canonical import Wire, wire
+from attestrep import AttestrepError
+from attestrep.bundle import ExecutionSummary
 from attestrep.package_model import (
     PackageDigest,
     PackageManifest,
@@ -51,7 +53,7 @@ ENV_ALLOWLIST = ("PATH", "HOME", "LANG")
 _CHUNK = 1 << 20
 
 
-class RunnerError(Exception):
+class RunnerError(AttestrepError):
     """Base class for execution failures."""
 
 
@@ -90,34 +92,11 @@ class ExecutionLimits:
 
 
 @dataclass(frozen=True)
-class ExecutionSummary(Wire):
-    """What a run states about itself inside a proof bundle."""
-
-    exit_status: int
-    wall_seconds: float = wire(minimum=0)
-    started_at: int = wire(minimum=0)
-    finished_at: int = wire(minimum=0)
-    stdout_log_digest: bytes = wire(hex_size=32)
-    stderr_log_digest: bytes = wire(hex_size=32)
-    nonce: bytes = wire(hex_size=32)
-
-
-@dataclass(frozen=True)
 class ExecutionRecord(ExecutionSummary):
     """Immutable record of one sandboxed run: its summary and the two tree digests."""
 
     package_digest: PackageDigest
     output_digest: PackageDigest
-
-    def __post_init__(self) -> None:
-        if self.finished_at < self.started_at:
-            raise ValueError("finished_at before started_at")
-        if self.wall_seconds < 0:
-            raise ValueError("wall_seconds negative")
-        if len(self.nonce) != 32:
-            raise ValueError("nonce must be 32 bytes")
-        if len(self.stdout_log_digest) != 32 or len(self.stderr_log_digest) != 32:
-            raise ValueError("log digests must be 32 bytes")
 
     def summary(self) -> ExecutionSummary:
         """The record without its two tree digests."""

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import bz2
+import gzip
 import hashlib
 import io
+import lzma
 import random
 import tarfile
 import tempfile
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from attestrep import archive
 from attestrep.archive import ArchiveMalformed, digest_archive, pack_tree, unpack_archive
 from attestrep.package_model import digest_package
+from attestrep.portal.core import Portal
 from oracles import naive_tree_digest
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "answer42"
@@ -106,6 +110,20 @@ def test_regular_member_named_dot_is_refused(tmp_path: Path, name: str) -> None:
         digest_archive(data)
     with pytest.raises(ArchiveMalformed):
         unpack_archive(data, tmp_path / "out")
+
+
+@pytest.mark.parametrize("compress", [gzip.compress, bz2.compress, lzma.compress], ids=["gzip", "bzip2", "xz"])
+def test_compressed_archive_is_refused(compress, tmp_path: Path) -> None:
+    # a compressed body would be read at its unpacked size: a few hundred KiB of zeros fill the 1 GiB cap
+    data = compress(pack_tree(FIXTURE))
+    with pytest.raises(ArchiveMalformed):
+        digest_archive(data)
+    with pytest.raises(ArchiveMalformed):
+        unpack_archive(data, tmp_path / "out")
+    portal = Portal(tmp_path / "store")
+    with pytest.raises(ArchiveMalformed):
+        portal.submit(data)
+    assert portal.audit_entries() == []
 
 
 def test_digest_archive_size_cap() -> None:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -265,3 +268,43 @@ def test_domain_error_exits_1(tmp_path: Path, capsys) -> None:
 def test_unreadable_or_unwritable_file_is_an_error(argv, answer42: Path, tmp_path: Path, capsys) -> None:
     assert main(argv(tmp_path, answer42)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# what only the author, the portal or the operator commands need
+READER_NEVER_LOADS = (
+    "attestrep.runner",
+    "attestrep.portal",
+    "attestrep.archive",
+    "attestrep.economics",
+    "attestrep.evaluation",
+    "subprocess",
+    "tarfile",
+    "urllib.request",
+    "http.server",
+)
+_VERIFY_IN_FRESH_PROCESS = """
+import json, sys
+from attestrep.cli import main
+code = main(sys.argv[1:])
+loaded = [name for name in json.loads(sys.stdin.read()) if name in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+@pytest.mark.parametrize("archive_dir", [False, True], ids=["bundle-only", "archive-dir"])
+def test_verify_loads_only_the_reader(archive_dir: bool, answer42: Path, tmp_path: Path, capsys) -> None:
+    attested = _attest(answer42, tmp_path, capsys)
+    argv = ["verify", str(attested["path"]), "--root", attested["provider_root"]]
+    if archive_dir:
+        argv += ["--archive-dir", str(answer42)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY_IN_FRESH_PROCESS, *argv],
+        input=json.dumps(READER_NEVER_LOADS),
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}

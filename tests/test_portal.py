@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
@@ -63,6 +64,41 @@ def _break_the_audit_log(portal: Portal) -> None:
     path.write_bytes(path.read_bytes().replace(b'"seq":0', b'"seq":9', 1))
     with pytest.raises(AuditLogBroken):
         portal.audit_entries(0)
+
+
+def _replayed_states(portal: Portal) -> dict[str, str]:
+    """Each submission's state replayed from the log; every step must be one the state machine allows."""
+    states: dict[str, str] = {}
+    for entry in portal.audit_entries():
+        event = entry.event
+        if event["type"] == "submission-received":
+            states[event["submission_id"]] = "Received"
+        elif event["type"] == "state-changed":
+            before = states[event["submission_id"]]
+            assert event["state"] in core._TRANSITIONS[before], f"{before} -> {event['state']}"
+            states[event["submission_id"]] = event["state"]
+    return states
+
+
+class _DiskFullOn:
+    """A file from ``os.fdopen`` whose write of bytes containing ``marker`` fails with ENOSPC, once."""
+
+    def __init__(self, fh, marker: bytes, faults: list) -> None:
+        self._fh, self._marker, self._faults = fh, marker, faults
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def write(self, data):
+        if self._faults and isinstance(data, bytes) and self._marker in data:
+            raise self._faults.pop()
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
 
 
 class TestArchive:
@@ -323,6 +359,20 @@ class TestProcess:
         assert portal.get_submission(submission_id).state == "Received"
         assert portal.process(submission_id).state == "Failed"
         assert portal.audit_check().ok
+
+    def test_unstaged_record_appends_no_state_change(self, portal: Portal, archive: bytes, monkeypatch) -> None:
+        submission_id = portal.submit(archive, author_id="alice").submission_id
+        fdopen, faults = os.fdopen, [OSError(errno.ENOSPC, "No space left on device")]
+        # the Proved record is the one staged write whose bytes say so
+        monkeypatch.setattr(os, "fdopen", lambda *a, **k: _DiskFullOn(fdopen(*a, **k), b'"state":"Proved"', faults))
+        with pytest.raises(OSError):
+            portal.process(submission_id)
+        assert not faults
+        assert _replayed_states(portal) == {submission_id: portal.get_submission(submission_id).state}
+        assert _replayed_states(portal) == {submission_id: Portal(portal.store_dir).get_submission(submission_id).state}
+        assert portal.process(submission_id).state == "Proved"
+        assert _replayed_states(portal) == {submission_id: "Proved"}
+        assert [p.name for p in (portal.store_dir / "submissions").iterdir()] == [f"{submission_id}.json"]
 
     def test_tree_changed_after_submit_fails(self, portal: Portal, tmp_path: Path) -> None:
         # the sandbox is runs/<id>/tree, so ../../../quarantine holds every other submission's tree
@@ -726,10 +776,8 @@ class TestLifecycleAndRecovery:
     def test_interrupted_run_recovers_to_received(self, tmp_path: Path, archive: bytes) -> None:
         portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED)
         submission = portal.submit(archive, author_id="alice")
-        # simulate a crash mid-process: state persisted as Running, no result
-        from dataclasses import replace
-
-        portal._write_submission(replace(submission, state="Running"))
+        # simulate a crash mid-process: the claim is committed as Running, no result
+        portal._transition(submission, "Running")
 
         reopened = Portal(tmp_path / "store")
         recovered = reopened.get_submission(submission.submission_id)

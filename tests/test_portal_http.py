@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import errno
 import http.client
 import io
 import json
 import socket
 import statistics
+import sys
 import tarfile
 import threading
 import time
@@ -13,6 +15,8 @@ from urllib.parse import urlparse
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attestrep.archive import pack_tree
 from attestrep.bundle import parse_bundle
@@ -276,3 +280,104 @@ def test_concurrent_submissions(base_url: str, tmp_path: Path) -> None:
         thread.join(timeout=30)
     assert not errors
     assert len(set(ids)) == 6
+
+
+_HEX = "ab" * 32
+_TARGETS = st.sampled_from([
+    "/v1/submissions", f"/v1/submissions/{_HEX}", f"/v1/submissions/{_HEX}/process", f"/v1/proofs/{_HEX}",
+    "/v1/verify", "/v1/audit-log", "/v1/audit-log?from_seq=1", "/v1/audit-log?from_seq=-1&from_seq=2",
+    "*", "/", "//[", "http://[", "http://h/v1/audit-log", "/v1/submissions/../verify", "/%zz?%zz=%zz",
+]) | st.text(max_size=40).map(lambda text: "/" + text)
+_HEADER_NAMES = st.sampled_from(
+    ["Content-Length", "Transfer-Encoding", "X-Author-Id", "Host", "Connection", "Expect", "Content-Type"]
+) | st.text(st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters=":"), min_size=1, max_size=12)
+_LENGTHS = st.integers(min_value=-3, max_value=2**70).map(str) | st.sampled_from(
+    ["", " 4", "+4", "4_0", "0x10", "1e3", "\u0663", "4, 4", "00", "chunked"]
+)
+_VERSIONS = st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/0.9", "HTTP/2.0", "HTTP/1.1.1", "HTTP/x", "FTP/1.0", ""])
+_METHODS = st.sampled_from(["GET", "POST", "HEAD", "PUT", "DELETE", "get"]) | st.text(max_size=6)
+
+
+def _responses(data: bytes) -> tuple[list[tuple[int, dict, bytes]], bytes]:
+    """The final responses in what the server sent before its close, and any incomplete rest."""
+    out = []
+    while True:
+        head, separator, rest = data.partition(b"\r\n\r\n")
+        if not separator:
+            return out, data
+        status_line, *lines = head.split(b"\r\n")
+        version, status, _ = status_line.split(b" ", 2)
+        assert version == b"HTTP/1.1", status_line
+        headers = {name.lower(): value for name, _, value in (line.partition(b": ") for line in lines)}
+        if int(status) < 200:  # 100 Continue
+            data = rest
+            continue
+        length = int(headers[b"content-length"])
+        if len(rest) < length:
+            return out, data
+        out.append((int(status), headers, rest[:length]))
+        data = rest[length:]
+
+
+def test_fuzzed_requests_end_in_a_named_status(tmp_path: Path, archive: bytes) -> None:
+    portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED)
+    server = make_server(portal, host="127.0.0.1", port=0)
+    faults: list[BaseException] = []
+    server.handle_error = lambda request, client_address: faults.append(sys.exc_info()[1])
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    address = server.server_address[:2]
+    # named, not inlined: a failing example's report would otherwise print the whole archive
+    named_bodies = {"archive": archive, "token": b'{"token": "' + _HEX.encode() + b'"}'}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        method=_METHODS,
+        target=_TARGETS,
+        version=_VERSIONS,
+        headers=st.lists(st.tuples(_HEADER_NAMES, st.text(max_size=30) | _LENGTHS), max_size=5),
+        length=st.none() | _LENGTHS,
+        body=st.sampled_from(sorted(named_bodies)) | st.binary(max_size=64),
+    )
+    def exchange(method: str, target: str, version: str, headers, length, body: str | bytes) -> None:
+        faults.clear()
+        body = named_bodies.get(body, body)
+        if length is not None:
+            headers = [*headers, ("Content-Length", length)]
+        lines = [" ".join(part for part in (method, target, version) if part)]
+        lines += [f"{name}: {value}" for name, value in headers]
+        request = ("\r\n".join(lines) + "\r\n\r\n").encode("utf-8", "surrogatepass") + body
+        data, reset = b"", False
+        with socket.create_connection(address, timeout=10) as sock:
+            try:
+                sock.sendall(request)
+                sock.shutdown(socket.SHUT_WR)  # the server sees the end of input, never waits for more
+                while chunk := sock.recv(65536):
+                    data += chunk
+            except OSError as exc:
+                # a server that answers and closes before reading all of the input resets the connection
+                assert exc.errno in (errno.ECONNRESET, errno.EPIPE, errno.ENOTCONN), exc
+                reset = True
+        responses, rest = _responses(data)
+        assert reset or rest == b"", rest[:200]
+        for status, response_headers, response_body in responses:
+            assert status != 500, response_body
+            if status >= 400:
+                assert response_headers[b"content-type"] == b"application/json"
+                assert json.loads(response_body)["error"]
+        assert faults == []
+        connection = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            connection.request("GET", "/v1/audit-log")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+        finally:
+            connection.close()
+
+    try:
+        exchange()
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
