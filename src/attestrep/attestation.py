@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -77,19 +76,21 @@ def _verify_ed25519(public_key_bytes: bytes, signature: bytes, message: bytes) -
         return False
 
 
-@dataclass(frozen=True)
 class ProviderConfig:
     """Simulated provider configuration; real backends supply external chains."""
 
-    provider_id: str = DEFAULT_PROVIDER_ID
-    root_secret_seed: bytes = b"\x00" * SEED_SIZE
-    attestation_validity: int = DEFAULT_VALIDITY_SECONDS
-
-    def __post_init__(self) -> None:
-        if len(self.root_secret_seed) != SEED_SIZE:
-            raise BadSeedLength(len(self.root_secret_seed))
-        if self.attestation_validity <= 0:
+    def __init__(self, provider_id: str = DEFAULT_PROVIDER_ID, root_secret_seed: bytes = b"\x00" * SEED_SIZE,
+                 attestation_validity: int = DEFAULT_VALIDITY_SECONDS) -> None:
+        if len(root_secret_seed) != SEED_SIZE:
+            raise BadSeedLength(len(root_secret_seed))
+        if attestation_validity <= 0:
             raise ValueError("attestation_validity must be positive seconds")
+        self.provider_id = provider_id
+        self.root_secret_seed = root_secret_seed
+        self.attestation_validity = attestation_validity
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is ProviderConfig else NotImplemented
 
 
 class _Signed(Wire):
@@ -100,10 +101,9 @@ class _Signed(Wire):
 
 def _sign(key: Ed25519PrivateKey, unsigned: _Signed):
     """``unsigned`` with its signature field set to ``key``'s signature over its canonical body."""
-    return replace(unsigned, signature=key.sign(unsigned.canonical_body()))
+    return unsigned.replace(signature=key.sign(unsigned.canonical_body()))
 
 
-@dataclass(frozen=True)
 class AttestationQuote(_Signed):
     """Signed measurement + report-data structure, one format version so far."""
 
@@ -121,7 +121,6 @@ class AttestationQuote(_Signed):
         return _verify_ed25519(attestation_public_key, self.signature, self.canonical_body())
 
 
-@dataclass(frozen=True)
 class RootStatement(_Signed):
     """Self-signed statement naming the simulated vendor root public key."""
 
@@ -135,7 +134,6 @@ class RootStatement(_Signed):
         return _verify_ed25519(self.root_public_key, self.signature, self.canonical_body())
 
 
-@dataclass(frozen=True)
 class AttestationEndorsement(_Signed):
     """Root-signed endorsement of the attestation public key with a validity window."""
 
@@ -151,7 +149,6 @@ class AttestationEndorsement(_Signed):
         return _verify_ed25519(root_public_key, self.signature, self.canonical_body())
 
 
-@dataclass(frozen=True)
 class EndorsementChain(Wire):
     root_statement: RootStatement
     attestation_endorsement: AttestationEndorsement

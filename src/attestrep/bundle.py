@@ -7,9 +7,10 @@ SHA-256("attestrep-image-v1" || package_digest). Changing any file in the
 package or any produced output changes a digest, which breaks the quote
 binding, so a bundle can never be moved to different code or results.
 
-``ExecutionSummary`` is defined here beside the ``ProofBundle`` that carries
-it, and the runner's ``ExecutionRecord`` extends it: reading a bundle never
-loads the runner.
+``PackageDigest`` and ``ExecutionSummary`` are defined here beside the
+``ProofBundle`` that carries them; ``package_model`` computes the one and the
+runner's ``ExecutionRecord`` extends the other, and reading a bundle loads
+neither.
 
 Bundles serialize to canonical JSON (``.arproof`` files); bundle_id is the
 SHA-256 of the canonical body (every field but bundle_id) and doubles as
@@ -21,13 +22,11 @@ canonical serialization of what it parsed to.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from attestrep import AttestrepError
 from attestrep.attestation import AttestationProvider, AttestationQuote, EndorsementChain
 from attestrep.canonical import SchemaError, Wire, canonical_json_bytes, sha256, wire
-from attestrep.package_model import PackageDigest
 
 if TYPE_CHECKING:  # the reader path never loads the runner
     from attestrep.runner import ExecutionRecord
@@ -75,7 +74,25 @@ def compute_report_data(package_digest_value: bytes, output_digest_value: bytes,
     return sha256(package_digest_value + output_digest_value + nonce) + _ZERO_TAIL
 
 
-@dataclass(frozen=True)
+class PackageDigest(Wire):
+    """Canonical content digest of a package file tree (``package_model.digest_entries``)."""
+
+    value: bytes = wire(hex_size=32)
+    file_count: int = wire(minimum=0)
+    total_bytes: int = wire(minimum=0)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if len(self.value) != 32:
+            raise ValueError("digest value must be 32 bytes")
+        if self.file_count < 0 or self.total_bytes < 0:
+            raise ValueError("counts must be non-negative")
+
+    @property
+    def hex(self) -> str:
+        return self.value.hex()
+
+
 class ExecutionSummary(Wire):
     """What a run states about itself inside a proof bundle."""
 
@@ -88,7 +105,6 @@ class ExecutionSummary(Wire):
     nonce: bytes = wire(hex_size=32)
 
 
-@dataclass(frozen=True)
 class ProofBundle(Wire):
     format_version: int
     package_digest: PackageDigest
@@ -137,7 +153,7 @@ def build_bundle(
         chain=provider.export_chain(),
         bundle_id=b"",
     )
-    return replace(bundle, bundle_id=bundle.computed_bundle_id())
+    return bundle.replace(bundle_id=bundle.computed_bundle_id())
 
 
 def serialize_bundle(bundle: ProofBundle) -> bytes:

@@ -5,23 +5,24 @@ object keys sorted ascending by byte order, no insignificant whitespace,
 integers in decimal, binary fields as lowercase hex strings. Anything that
 recomputes a hash must go through this module.
 
-A wire structure is a frozen dataclass deriving from ``Wire``. Its field
-table is its dataclass fields, typed ``int``, ``float``, ``str``, ``bytes``,
-``dict`` (any JSON object, taken as is) or another ``Wire``, with the rules
-given by ``wire(...)`` (hex byte length, integer minimum, whether the
-signature covers the field) and the constant ``TAGS`` of the class.
-``Wire.to_dict`` and ``Wire.from_dict`` are the one encode/decode pair
-every structure uses; the table is compiled once per class.
+A wire structure is a class deriving from ``Wire``. Its field table is its
+annotated class attributes, after those of a ``Wire`` base, typed ``int``,
+``float``, ``str``, ``bytes``, ``dict`` (any JSON object, taken as is) or
+another ``Wire``, with the rules given by ``wire(...)`` (hex byte length,
+integer minimum, whether the signature covers the field) and the constant
+``TAGS`` of the class. The table is compiled when the class is defined into
+a frozen record (constructor, equality, hash, ``repr``, ``replace``) and the
+one encode/decode pair every structure uses, ``to_dict`` and ``from_dict``.
 """
 
 from __future__ import annotations
 
-import functools
+import builtins
 import hashlib
 import json
 import math
-from dataclasses import field, fields
-from typing import Any, ClassVar, get_type_hints
+import sys
+from typing import Any, ClassVar
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
@@ -49,8 +50,8 @@ class SchemaError(ValueError):
 
 
 def wire(*, hex_size: int | None = None, minimum: int | None = None, signed: bool = True) -> Any:
-    """A dataclass field with its wire rules; ``signed=False`` leaves it out of the signed body."""
-    return field(metadata={"hex_size": hex_size, "minimum": minimum, "signed": signed})
+    """The wire rules of the field it is assigned to; ``signed=False`` leaves it out of the signed body."""
+    return hex_size, minimum, signed
 
 
 def _decoder(kind: type, hex_size: int | None, minimum: int | None):
@@ -91,43 +92,69 @@ def _decoder(kind: type, hex_size: int | None, minimum: int | None):
     return decode
 
 
-@functools.cache
-def _table(cls: type) -> tuple[frozenset, tuple, tuple, tuple]:
-    """Key set, all ``(name, encode)`` rows, the signed ones, and ``(name, decode)`` rows of ``cls``."""
-    hints = get_type_hints(cls)
-    encoders, signed, decoders = [], [], []
-    for f in fields(cls):
-        kind, meta = hints[f.name], f.metadata
-        row = (f.name, bytes.hex if kind is bytes else (kind.to_dict if issubclass(kind, Wire) else None))
-        encoders.append(row)
-        if meta.get("signed", True):
-            signed.append(row)
-        decoders.append((f.name, _decoder(kind, meta.get("hex_size"), meta.get("minimum"))))
-    return frozenset(cls.TAGS).union(f.name for f in fields(cls)), tuple(encoders), tuple(signed), tuple(decoders)
-
-
 class Wire:
-    """Base of the wire structures: the dict form, its signed part and its strict parser."""
+    """Base of the wire structures: a frozen record, its dict form, its signed part and its strict parser."""
 
     TAGS: ClassVar[dict[str, str]] = {}
+    FIELDS: ClassVar[tuple[str, ...]] = ()  # field names, in constructor order
+    _rows: ClassVar[tuple] = ()  # (name, kind, hex_size, minimum, signed) per field, inherited ones first
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        scope = {**vars(builtins), **vars(sys.modules[cls.__module__])}  # annotations are names, not evaluated
+        for name, annotation in vars(cls).get("__annotations__", {}).items():
+            cls._rows += ((name, scope[annotation], *vars(cls).get(name, (None, None, True))),)
+            if name in vars(cls):
+                delattr(cls, name)  # the rules of ``wire(...)``; the value lives on the instance
+        cls.FIELDS = tuple(row[0] for row in cls._rows)
+        cls._keys = frozenset(cls.TAGS).union(cls.FIELDS)
+        cls._encoders = tuple((name, bytes.hex if kind is bytes else kind.to_dict if issubclass(kind, Wire) else None)
+                              for name, kind, *_ in cls._rows)
+        cls._signed = tuple(encoder for encoder, row in zip(cls._encoders, cls._rows) if row[4])
+        cls._decoders = tuple((row[0], _decoder(*row[1:4])) for row in cls._rows)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        values = dict(zip(self.FIELDS, args), **kwargs)
+        if len(args) + len(kwargs) != len(values) or values.keys() != set(self.FIELDS):
+            raise TypeError(f"{type(self).__name__} takes each of {self.FIELDS} once")
+        self.__dict__.update((name, values[name]) for name in self.FIELDS)  # in field order: equal ones hash alike
+
+    def _frozen(self, *args: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in self.__dict__.items())})"
+
+    def replace(self, **changes: Any):
+        """A copy with ``changes`` applied, built (and checked) like a new structure."""
+        return type(self)(**{**self.__dict__, **changes})
 
     def to_dict(self, signed_only: bool = False) -> dict:
         """The JSON object of this structure; ``signed_only`` drops the unsigned fields."""
-        _keys, every, signed, _decoders = _table(type(self))
         out = dict(self.TAGS)
-        for name, encode in signed if signed_only else every:
-            value = getattr(self, name)
+        for name, encode in self._signed if signed_only else self._encoders:
+            value = self.__dict__[name]
             out[name] = value if encode is None else encode(value)
         return out
 
     @classmethod
     def from_dict(cls, obj: Any, where: str = ""):
         """Inverse of ``to_dict``: exact keys, constant tags, every field by its rule."""
-        keys, _encoders, _signed, decoders = _table(cls)
-        if type(obj) is not dict or obj.keys() != keys:
-            raise SchemaError(f"{where or cls.__name__}: expected exactly keys {sorted(keys)}")
+        if type(obj) is not dict or obj.keys() != cls._keys:
+            raise SchemaError(f"{where or cls.__name__}: expected exactly keys {sorted(cls._keys)}")
         prefix = f"{where}." if where else ""
         for tag, value in cls.TAGS.items():
             if obj[tag] != value:
                 raise SchemaError(f"{prefix}{tag}: expected {value!r}")
-        return cls(*[decode(obj[name], prefix + name) for name, decode in decoders])
+        # the decoders checked every value, so the instance is filled without a second pass
+        out = object.__new__(cls)
+        out.__dict__.update([(name, decode(obj[name], prefix + name)) for name, decode in cls._decoders])
+        return out

@@ -11,7 +11,8 @@ Environment: ``ATTESTREP_STORE`` default portal store path,
 the environment.
 
 Each command imports what it runs when it runs: ``verify`` loads the
-verifier, never the runner, the portal, the archive reader or HTTP code.
+verifier, never the runner, the portal, the archive reader or HTTP code,
+and without ``--archive-dir`` not ``package_model`` or ``pathlib`` either.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from attestrep import AttestrepError
 
@@ -52,6 +52,8 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from attestrep.archive import pack_tree
     from attestrep.package_model import digest_package, load_manifest
     load_manifest(args.directory)
@@ -90,6 +92,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_attest(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from attestrep.attestation import DEFAULT_VALIDITY_SECONDS, AttestationProvider, ProviderConfig
     from attestrep.bundle import build_bundle, serialize_bundle
     seed = args.provider_seed if args.provider_seed is not None else os.urandom(32)
@@ -126,13 +130,16 @@ def _trust_roots(args: argparse.Namespace) -> list[bytes]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from attestrep.bundle import parse_bundle
-    from attestrep.package_model import digest_package
     from attestrep.verifier import verify_against_archive, verify_bundle
-    data = Path(args.bundle).read_bytes()
+    with open(args.bundle, "rb") as fh:
+        data = fh.read()
     now = args.now if args.now is not None else int(time.time())
     verdict = verify_bundle(data, _trust_roots(args), now=now)
     if verdict.accepted and (args.archive_digest or args.archive_dir):
-        archived = digest_package(args.archive_dir).value if args.archive_dir else args.archive_digest
+        archived = args.archive_digest
+        if args.archive_dir:  # only this option needs the tree digest, and with it pathlib and package_model
+            from attestrep.package_model import digest_package
+            archived = digest_package(args.archive_dir).value
         verdict = verify_against_archive(parse_bundle(data), archived)
     if args.json:
         _emit(verdict.to_dict(), as_json=True)
@@ -145,6 +152,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     import urllib.request
+    from pathlib import Path
     data = Path(args.archive).read_bytes()
     request = urllib.request.Request(
         args.portal.rstrip("/") + "/v1/submissions",
@@ -255,6 +263,8 @@ def _cmd_econ_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from attestrep.evaluation import aggregate, ingest_csv, load_fixture, render_text
     data = Path(args.csv).read_bytes() if args.csv else load_fixture()
     report = aggregate(ingest_csv(data))

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable
 
 from attestrep import AttestrepError
-from attestrep.canonical import Wire, wire
+from attestrep.bundle import PackageDigest
 
 MANIFEST_NAME = "attestrep.manifest"
 
@@ -74,25 +74,6 @@ class PathRuleViolation(PackageError):
         super().__init__(f"{field_name}: illegal path {path!r}")
         self.field = field_name
         self.path = path
-
-
-@dataclass(frozen=True)
-class PackageDigest(Wire):
-    """Canonical content digest of a package file tree."""
-
-    value: bytes = wire(hex_size=32)
-    file_count: int = wire(minimum=0)
-    total_bytes: int = wire(minimum=0)
-
-    def __post_init__(self) -> None:
-        if len(self.value) != 32:
-            raise ValueError("digest value must be 32 bytes")
-        if self.file_count < 0 or self.total_bytes < 0:
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def hex(self) -> str:
-        return self.value.hex()
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ class AuditLogBroken(ValueError):
         self.seq = seq
 
 
-@dataclass(frozen=True)
 class AuditEntry(Wire):
     seq: int = wire(minimum=0)
     prev_hash: bytes = wire(hex_size=32)

@@ -16,13 +16,15 @@ record is written and fsynced to a temp file beside its path, then the
 audit event is appended, then the temp file is renamed over the old record,
 then the in-memory tables change. A failed write appends nothing, and a
 refused append (``AuditLogBroken``) removes the temp file, so neither
-changes anything after it. The bundle blob is written before the record
-flips to Proved, so a token resolves only once its proof is committed. On
-startup any submission stuck in Running is swept back to Received, so
-observable states after a crash are Received or terminal. A ``tokens/``
-directory left by older versions is ignored. The limits are module constants, not settings: runs get
-``RUN_LIMITS``, archives ``archive.MAX_ARCHIVE_BYTES`` and
-``archive.MAX_MEMBERS``, duplicates ``DUPLICATE_WINDOW_SECONDS``.
+changes anything after it; a failed rename appends a ``commit-failed``
+event naming the ``seq`` of the event no record took. The bundle blob is
+written before the record flips to Proved, so a token resolves only once its
+proof is committed. On startup any submission stuck in Running is swept
+back to Received, so observable states after a crash are Received or
+terminal. A ``tokens/`` directory left by older versions is ignored. The
+limits are module constants, not settings: runs get ``RUN_LIMITS``,
+archives ``archive.MAX_ARCHIVE_BYTES`` and ``archive.MAX_MEMBERS``,
+duplicates ``DUPLICATE_WINDOW_SECONDS``.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ from attestrep.attestation import (
     AttestationProvider,
     ProviderConfig,
 )
-from attestrep.bundle import BundleError, ProofBundle, build_bundle, parse_bundle, serialize_bundle
+from attestrep.bundle import BundleError, PackageDigest, ProofBundle, build_bundle, parse_bundle, serialize_bundle
 from attestrep.canonical import canonical_json_bytes
-from attestrep.package_model import PackageDigest, PackageError, digest_package, load_manifest
-from attestrep.portal.audit import AuditCheck, AuditLog, AuditLogBroken, audit_check
+from attestrep.package_model import PackageError, digest_package, load_manifest
+from attestrep.portal.audit import AuditCheck, AuditEntry, AuditLog, AuditLogBroken, audit_check
 from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore, atomic_write, staged_write
 from attestrep.runner import ExecutionLimits, RunnerError, execute
 from attestrep.verifier import DIGEST_MISMATCH, Verdict, verify_against_archive, verify_bundle
@@ -154,7 +156,8 @@ class Portal:
     """One store directory, any number of concurrent callers.
 
     Records live in memory as ``id -> Submission`` and ``token -> id``,
-    loaded once from the store. One lock covers the two steps that must not
+    loaded once from the store, beside ``archive blob -> PackageDigest``
+    for each archive ``public_verify`` has digested. One lock covers the two steps that must not
     interleave: ``submit``'s duplicate check and insert, and ``process``'s
     claim of a Received submission. Packages run with no lock held, so
     distinct submissions process in parallel. Audit appends are serialized
@@ -179,6 +182,7 @@ class Portal:
         self._lock = threading.Lock()
         self._submissions: dict[str, Submission] = {}
         self._tokens: dict[str, str] = {}
+        self._archive_digests: dict[str, PackageDigest] = {}  # archive blob key -> digest of its bytes
         self._load_submissions()
 
     # -- provider bootstrap -------------------------------------------------
@@ -209,8 +213,15 @@ class Portal:
     def _commit(self, submission: Submission, kind: str, **fields) -> Submission:
         """Stage the record, audit, rename it into place, change the tables: an event names only a written record."""
         path = self._submissions_dir / f"{submission.submission_id}.json"
-        with staged_write(path, canonical_json_bytes(submission.to_dict())):
-            self._audit(kind, **fields)
+        entry = None
+        try:
+            with staged_write(path, canonical_json_bytes(submission.to_dict())):
+                entry = self._audit(kind, **fields)
+        except BaseException:
+            if entry is not None:  # logged, but the rename failed: no record took the event
+                with contextlib.suppress(AuditLogBroken, OSError):
+                    self._audit("commit-failed", seq=entry.seq)
+            raise
         self._remember(submission)
         return submission
 
@@ -227,9 +238,9 @@ class Portal:
         updated = replace(submission, state=state, **changes)
         return self._commit(updated, "state-changed", submission_id=submission.submission_id, state=state)
 
-    def _audit(self, kind: str, **fields) -> None:
+    def _audit(self, kind: str, **fields) -> AuditEntry:
         """Append one event of type ``kind``, stamped with the clock unless ``fields`` give ``at``."""
-        self.audit_log.append({"type": kind, "at": self.clock(), **fields})
+        return self.audit_log.append({"type": kind, "at": self.clock(), **fields})
 
     def _load_submissions(self) -> None:
         """Read every record once; a run a crash left in Running goes back to Received."""
@@ -335,9 +346,14 @@ class Portal:
         )
 
     def _verify_archived_package(self, bundle: ProofBundle, submission: Submission) -> Verdict:
-        """Recompute the package digest from archived bytes, not trusting the record."""
+        """The package digest of the archived bytes, not of the record: computed once per blob."""
+        key = submission.archive_blob
         try:
-            archived = digest_archive(self.blobs.get(submission.archive_blob))
+            # the content address is checked on every read, so a remembered digest is of these very bytes
+            data = self.blobs.get(key)
+            archived = self._archive_digests.get(key)
+            if archived is None:  # two first reads at once only digest the same bytes twice
+                archived = self._archive_digests[key] = digest_archive(data)
         except (BlobCorrupt, BlobMissing):
             return Verdict.reject(DIGEST_MISMATCH, "archived package blob is missing or fails its content address")
         except ArchiveMalformed as exc:

@@ -10,7 +10,8 @@ read only to its declared ``Content-Length``: a missing one is 411, one that
 is not a decimal number is 400, one over ``MAX_ARCHIVE_BYTES`` (1 GiB) is
 413, each answered before any of the body is read and followed by closing
 the connection. A route that reads no body (``process``, every GET, 404)
-closes the connection after a request that declares one.
+closes the connection after a request that declares one. A client that
+resets the connection has closed it: its handler ends quietly.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from attestrep.portal.core import (
 logger = logging.getLogger(__name__)
 
 AUTHOR_HEADER = "X-Author-Id"
+
+# a client that resets or stops reading its connection has closed it; that is not a server fault
+_CLIENT_GONE = (ConnectionResetError, BrokenPipeError)
 
 _STATUS = {
     ArchiveMalformed: 400,
@@ -89,6 +93,12 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
     def portal(self) -> Portal:
         return self.server.portal
 
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        except _CLIENT_GONE:
+            self.close_connection = True
+
     def log_message(self, format: str, *args) -> None:
         logger.debug("%s %s", self.address_string(), format % args)
 
@@ -135,6 +145,8 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
         self._send_json(code, {"error": "".join(ch for ch in phrase if ch.isalnum()), "detail": message or phrase})
 
     def _send_error_json(self, exc: Exception) -> None:
+        if isinstance(exc, _CLIENT_GONE):  # nothing more can be sent: handle_one_request closes
+            raise exc
         if isinstance(exc, RequestRefused):
             # an unread or unframed body must not be parsed as the next request
             self.close_connection = True

@@ -32,13 +32,12 @@ import stat
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from attestrep import AttestrepError
-from attestrep.bundle import ExecutionSummary
+from attestrep.bundle import ExecutionSummary, PackageDigest
 from attestrep.package_model import (
-    PackageDigest,
     PackageManifest,
     UnreadableFile,
     digest_entries,
@@ -91,7 +90,6 @@ class ExecutionLimits:
     max_output_bytes: int = 1 << 30
 
 
-@dataclass(frozen=True)
 class ExecutionRecord(ExecutionSummary):
     """Immutable record of one sandboxed run: its summary and the two tree digests."""
 
@@ -100,7 +98,7 @@ class ExecutionRecord(ExecutionSummary):
 
     def summary(self) -> ExecutionSummary:
         """The record without its two tree digests."""
-        return ExecutionSummary(**{f.name: getattr(self, f.name) for f in fields(ExecutionSummary)})
+        return ExecutionSummary(**{name: getattr(self, name) for name in ExecutionSummary.FIELDS})
 
 
 def _resolve_command(entrypoint: Path) -> list[str]:

@@ -19,7 +19,6 @@ and the bindings. The clock is a parameter; nothing here reads wall time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable
 
 from attestrep.attestation import AttestationEndorsement, RootStatement
@@ -50,11 +49,19 @@ DIGEST_MISMATCH = "DigestMismatch"
 CHAIN_MEMO_SIZE = 64
 
 
-@dataclass(frozen=True)
 class Verdict:
-    accepted: bool
-    reason: str | None = None
-    detail: str | None = None
+    """Accept, or Reject with the name of the first failing check and a detail."""
+
+    def __init__(self, accepted: bool, reason: str | None = None, detail: str | None = None) -> None:
+        self.accepted = accepted
+        self.reason = reason
+        self.detail = detail
+
+    def __eq__(self, other: object) -> bool:
+        return self.to_dict() == other.to_dict() if type(other) is Verdict else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Verdict({self.to_dict()})"
 
     @classmethod
     def accept(cls) -> Verdict:
@@ -86,8 +93,8 @@ def _normalize_roots(trust_roots: Iterable[bytes | str]) -> set[bytes]:
     return roots
 
 
-# Keyed on the parsed structures: frozen dataclasses whose equality covers every
-# field, signature included, so a hit is the same statement the check passed on.
+# Keyed on the parsed structures: frozen ``Wire`` records whose equality covers
+# every field, signature included, so a hit is the same statement the check passed on.
 @functools.lru_cache(maxsize=CHAIN_MEMO_SIZE)
 def _root_statement_valid(statement: RootStatement) -> bool:
     return statement.verify()

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -94,13 +93,13 @@ def test_quote_mutation_unforgeability() -> None:
         if field in ("measurement", "report_data", "signature"):
             data = bytearray(getattr(quote, field))
             data[rng.randrange(len(data))] ^= rng.randint(1, 255)
-            mutated = replace(quote, **{field: bytes(data)})
+            mutated = quote.replace(**{field: bytes(data)})
         elif field == "issued_at":
-            mutated = replace(quote, issued_at=quote.issued_at + rng.randint(1, 10_000))
+            mutated = quote.replace(issued_at=quote.issued_at + rng.randint(1, 10_000))
         elif field == "version":
-            mutated = replace(quote, version=quote.version + rng.randint(1, 5))
+            mutated = quote.replace(version=quote.version + rng.randint(1, 5))
         else:
-            mutated = replace(quote, provider_id=quote.provider_id + rng.choice("abc"))
+            mutated = quote.replace(provider_id=quote.provider_id + rng.choice("abc"))
         assert not mutated.verify_signature(pub)
 
 
@@ -115,9 +114,7 @@ class TestEndorsementChain:
         chain = _zero_provider().export_chain()
         bad_sig = bytearray(chain.attestation_endorsement.signature)
         bad_sig[7] ^= 0x01
-        broken = replace(
-            chain, attestation_endorsement=replace(chain.attestation_endorsement, signature=bytes(bad_sig))
-        )
+        broken = chain.replace(attestation_endorsement=chain.attestation_endorsement.replace(signature=bytes(bad_sig)))
         assert broken.root_statement.verify()
         assert not broken.attestation_endorsement.verify(broken.root_statement.root_public_key)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -47,7 +46,7 @@ def _provider(seed: bytes = PROVIDER_SEED) -> AttestationProvider:
 
 
 def _bundle_bytes(provider: AttestationProvider, nonce: int = 0x55) -> bytes:
-    record = replace(golden_record(), nonce=nonce.to_bytes(32, "big"))
+    record = golden_record().replace(nonce=nonce.to_bytes(32, "big"))
     return serialize_bundle(build_bundle(record, provider, now=NOW))
 
 

@@ -67,10 +67,17 @@ def _break_the_audit_log(portal: Portal) -> None:
 
 
 def _replayed_states(portal: Portal) -> dict[str, str]:
-    """Each submission's state replayed from the log; every step must be one the state machine allows."""
+    """Each submission's state replayed from the log; every step must be one the state machine allows.
+
+    An event a ``commit-failed`` event names was never taken by a record, so it is skipped.
+    """
+    entries = portal.audit_entries()
+    voided = {entry.event["seq"] for entry in entries if entry.event["type"] == "commit-failed"}
     states: dict[str, str] = {}
-    for entry in portal.audit_entries():
+    for entry in entries:
         event = entry.event
+        if entry.seq in voided:
+            continue
         if event["type"] == "submission-received":
             states[event["submission_id"]] = "Received"
         elif event["type"] == "state-changed":
@@ -355,9 +362,38 @@ class TestProcess:
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError):
-            portal.process(submission_id)  # the Failed record is not written
+            portal.process(submission_id)  # the Running claim's record is not renamed into place
         assert portal.get_submission(submission_id).state == "Received"
         assert portal.process(submission_id).state == "Failed"
+        assert portal.audit_check().ok
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["claim", "outcome"])
+    def test_failed_record_rename_voids_its_event(
+        self, portal: Portal, tmp_path: Path, monkeypatch, failing: int
+    ) -> None:
+        package = make_package(tmp_path / "bad", script="#!/bin/sh\nexit 1\n")
+        submission_id = portal.submit(pack_tree(package), author_id="alice").submission_id
+        replace, renames = os.replace, []
+
+        def failing_replace(src, dst):
+            if Path(dst).parent.name == "submissions":
+                renames.append(dst)
+                if len(renames) == failing:  # the Running claim, or the Failed outcome after it
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            portal.process(submission_id)
+        assert portal.get_submission(submission_id).state == "Received"
+        voided = [entry.event for entry in portal.audit_entries() if entry.event["type"] == "commit-failed"]
+        assert len(voided) == 1
+        assert portal.audit_entries(voided[0]["seq"])[0].event["type"] == "state-changed"
+        assert _replayed_states(portal) == {submission_id: "Received"}
+        assert portal.process(submission_id).state == "Failed"
+        assert _replayed_states(portal) == {submission_id: "Failed"}
+        reopened = Portal(portal.store_dir)
+        assert _replayed_states(reopened) == {submission_id: reopened.get_submission(submission_id).state}
         assert portal.audit_check().ok
 
     def test_unstaged_record_appends_no_state_change(self, portal: Portal, archive: bytes, monkeypatch) -> None:
@@ -516,6 +552,26 @@ class TestPublicVerify:
         result = portal.public_verify(done.token)
         assert result.verdict.accepted
         assert result.package_digest == digest_package(portal.store_dir / "quarantine" / done.submission_id)
+
+    def test_archive_is_digested_once_per_portal(self, portal: Portal, archive: bytes, monkeypatch) -> None:
+        done = portal.process(portal.submit(archive, author_id="alice").submission_id)
+        digest_archive, calls = core.digest_archive, []
+
+        def counted(data: bytes):
+            calls.append(len(data))
+            return digest_archive(data)
+
+        monkeypatch.setattr(core, "digest_archive", counted)
+        assert portal.public_verify(done.token).verdict.accepted
+        assert portal.public_verify(done.token).verdict.accepted
+        assert calls == [len(archive)]
+        # the remembered digest never stands in for the content-address check
+        blob_path = portal.blobs.path(done.archive_blob)
+        data = bytearray(blob_path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        blob_path.write_bytes(bytes(data))
+        assert portal.public_verify(done.token).verdict.reason == DIGEST_MISMATCH
+        assert calls == [len(archive)]
 
     def test_stale_token_file_not_served(self, tmp_path: Path, archive: bytes) -> None:
         # a token file left in the tokens/ directory of an older store must

@@ -6,6 +6,7 @@ import io
 import json
 import socket
 import statistics
+import struct
 import sys
 import tarfile
 import threading
@@ -193,6 +194,18 @@ def _raw_exchange(base_url: str, head: bytes) -> tuple[int, dict]:
             data += chunk
     status_line, _, rest = data.partition(b"\r\n")
     return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+def test_client_reset_is_a_close_not_a_traceback(base_url: str, capfd) -> None:
+    url = urlparse(base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=2) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(b"GET /v1/audit-log HTTP/1.1\r\nHost: t\r\n\r\n")
+        time.sleep(0.3)  # answered; the handler now waits for the next request on this connection
+    # closed with a linger of 0 and the answer unread: the server's next read gets a reset
+    time.sleep(0.3)
+    assert requests.get(f"{base_url}/v1/audit-log", timeout=10).status_code == 200
+    assert "Traceback" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize(
