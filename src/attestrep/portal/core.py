@@ -52,7 +52,7 @@ from attestrep.attestation import (
 from attestrep.bundle import BundleError, PackageDigest, ProofBundle, build_bundle, parse_bundle, serialize_bundle
 from attestrep.canonical import canonical_json_bytes
 from attestrep.package_model import PackageError, digest_package, load_manifest
-from attestrep.portal.audit import AuditCheck, AuditEntry, AuditLog, AuditLogBroken, audit_check
+from attestrep.portal.audit import AuditCheck, AuditEntry, AuditLog, AuditLogBroken, StoredEntry, audit_check
 from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore, atomic_write, staged_write
 from attestrep.runner import ExecutionLimits, RunnerError, execute
 from attestrep.verifier import DIGEST_MISMATCH, Verdict, verify_against_archive, verify_bundle
@@ -373,5 +373,5 @@ class Portal:
     def audit_check(self) -> AuditCheck:
         return audit_check(self.audit_log)
 
-    def audit_entries(self, from_seq: int = 0):
+    def audit_entries(self, from_seq: int = 0) -> list[StoredEntry]:
         return self.audit_log.entries(from_seq=from_seq)

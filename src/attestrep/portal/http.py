@@ -3,14 +3,17 @@
 JSON in and out except for archive upload and proof download, which are
 raw bytes. Domain failures map to 4xx with ``{"error": name, "detail":
 message}``, and an audit log changed under the portal to 503
-``AuditLogBroken``; nothing portal-internal leaks into responses. What
-``http.server`` refuses itself (request line, headers, method) is named JSON
-with a status line too, even for an HTTP/0.9 request. A body is
-read only to its declared ``Content-Length``: a missing one is 411, one that
-is not a decimal number is 400, one over ``MAX_ARCHIVE_BYTES`` (1 GiB) is
-413, each answered before any of the body is read and followed by closing
-the connection. A route that reads no body (``process``, every GET, 404)
-closes the connection after a request that declares one. A client that
+``AuditLogBroken``; nothing portal-internal leaks into responses. The
+audit-log body is ``{"entries":[...]}`` around the log's stored lines joined
+by commas: each element is one ``AuditEntry`` line exactly as the log file
+holds it, checked against its leaf hash and neither decoded nor encoded
+again. What ``http.server`` refuses itself (request line, headers, method)
+is named JSON with a status line too, even for an HTTP/0.9 request. A body
+is read only to its declared ``Content-Length``: a missing one is 411, one
+that is not a decimal number is 400, one over ``MAX_ARCHIVE_BYTES`` (1 GiB)
+is 413, each answered before any of the body is read and followed by
+closing the connection. A route that reads no body (``process``, every GET,
+404) closes the connection after a request that declares one. A client that
 resets the connection has closed it: its handler ends quietly.
 """
 
@@ -186,8 +189,8 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
                 self._send(200, result.bundle_bytes or b"", content_type="application/octet-stream")
             elif parts == ["v1", "audit-log"]:
                 from_seq = _count(parse_qs(query).get("from_seq", ["0"])[0], "from_seq")
-                entries = [entry.to_dict() for entry in self.portal.audit_entries(from_seq=from_seq)]
-                self._send_json(200, {"entries": entries})
+                lines = [entry.line for entry in self.portal.audit_entries(from_seq=from_seq)]
+                self._send(200, b'{"entries":[' + b",".join(lines) + b"]}")
             else:
                 self._send_json(404, {"error": "NotFound", "detail": self.path})
         except Exception as exc:  # noqa: BLE001

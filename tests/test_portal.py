@@ -66,12 +66,17 @@ def _break_the_audit_log(portal: Portal) -> None:
         portal.audit_entries(0)
 
 
+def _decoded(stored) -> list[AuditEntry]:
+    """The ``AuditEntry`` of each stored line a read returned."""
+    return [AuditEntry.from_dict(json.loads(entry.line)) for entry in stored]
+
+
 def _replayed_states(portal: Portal) -> dict[str, str]:
     """Each submission's state replayed from the log; every step must be one the state machine allows.
 
     An event a ``commit-failed`` event names was never taken by a record, so it is skipped.
     """
-    entries = portal.audit_entries()
+    entries = _decoded(portal.audit_entries())
     voided = {entry.event["seq"] for entry in entries if entry.event["type"] == "commit-failed"}
     states: dict[str, str] = {}
     for entry in entries:
@@ -386,9 +391,9 @@ class TestProcess:
         with pytest.raises(OSError):
             portal.process(submission_id)
         assert portal.get_submission(submission_id).state == "Received"
-        voided = [entry.event for entry in portal.audit_entries() if entry.event["type"] == "commit-failed"]
+        voided = [entry.event for entry in _decoded(portal.audit_entries()) if entry.event["type"] == "commit-failed"]
         assert len(voided) == 1
-        assert portal.audit_entries(voided[0]["seq"])[0].event["type"] == "state-changed"
+        assert _decoded(portal.audit_entries(voided[0]["seq"]))[0].event["type"] == "state-changed"
         assert _replayed_states(portal) == {submission_id: "Received"}
         assert portal.process(submission_id).state == "Failed"
         assert _replayed_states(portal) == {submission_id: "Failed"}
@@ -649,7 +654,7 @@ class TestAudit:
         assert len(portal.audit_entries()) == 4  # + Running, proof-archived, Proved
         portal.public_verify(done.token)
         assert len(portal.audit_entries()) == 5  # + verification-served
-        types = [entry.event["type"] for entry in portal.audit_entries()]
+        types = [entry.event["type"] for entry in _decoded(portal.audit_entries())]
         assert types == [
             "submission-received",
             "state-changed",
@@ -724,16 +729,22 @@ class TestAudit:
         for i in range(50):
             log.append({"type": "tick", "i": i})
         log = AuditLog(log.path)
-        decoded = []
+        decoded, hashed = [], []
 
-        def counted(text: str):
+        def counted_loads(text: str):
             decoded.append(text)
             return json.loads(text)
 
-        monkeypatch.setattr(audit, "json", SimpleNamespace(loads=counted))
+        def counted_sha256(data: bytes) -> bytes:
+            hashed.append(data)
+            return hashlib.sha256(data).digest()
+
+        monkeypatch.setattr(audit, "json", SimpleNamespace(loads=counted_loads))
+        monkeypatch.setattr(audit, "sha256", counted_sha256)
         tail = log.entries(from_seq=48)
-        assert [(entry.seq, entry.event["i"]) for entry in tail] == [(48, 48), (49, 49)]
-        assert len(decoded) == 2
+        assert len(decoded) == 0 and len(hashed) == 2
+        assert [(entry.seq, event.seq, event.event["i"]) for entry, event in zip(tail, _decoded(tail))] == [
+            (48, 48, 48), (49, 49, 49)]
         assert log.append({"type": "tick", "i": 50}).seq == 50
         assert [entry.seq for entry in log.entries(from_seq=49)] == [49, 50]
         assert log.entries(from_seq=51) == []
@@ -760,6 +771,51 @@ class TestAudit:
             log.append({"i": 3})
         assert excinfo.value.seq == 1
         assert log.path.read_bytes() == changed
+
+    def test_a_line_rewritten_into_another_valid_entry_is_caught_by_the_next_read(self, tmp_path: Path) -> None:
+        log = AuditLog(tmp_path / "audit.log")
+        for i in range(3):
+            log.append({"type": "tick", "i": i})
+        lines = log.path.read_bytes().splitlines(keepends=True)
+        rewritten = lines[1].replace(b'"i":1', b'"i":7')
+        # canonical, the same length, and it parses as an entry that keeps its own seq
+        assert canonical_json_bytes(json.loads(rewritten)) + b"\n" == rewritten != lines[1]
+        assert AuditEntry.from_dict(json.loads(rewritten)).seq == 1 and len(rewritten) == len(lines[1])
+        changed = lines[0] + rewritten + lines[2]
+        log.path.write_bytes(changed)
+        assert [entry.seq for entry in log.entries(from_seq=2)] == [2]  # this read does not cover the line
+        with pytest.raises(AuditLogBroken) as excinfo:
+            log.entries(from_seq=0)
+        assert excinfo.value.seq == 1
+        with pytest.raises(AuditLogBroken) as excinfo:
+            log.append({"type": "tick", "i": 3})
+        assert excinfo.value.seq == 1
+        assert log.path.read_bytes() == changed
+
+    def test_tail_read_skips_blank_lines_as_the_open_scan_does(self, tmp_path: Path) -> None:
+        log = AuditLog(tmp_path / "audit.log")
+        for i in range(3):
+            log.append({"type": "tick", "i": i})
+        lines = log.path.read_bytes().splitlines(keepends=True)
+        log.path.write_bytes(b"\n" + lines[0] + b"\n" + lines[1] + b"  \r\n" + lines[2])
+        log = AuditLog(log.path)
+        stored = [line.removesuffix(b"\n") for line in lines]
+        assert [(entry.seq, entry.line) for entry in log.entries(from_seq=0)] == list(enumerate(stored))
+        assert [entry.seq for entry in log.entries(from_seq=1)] == [1, 2]
+        assert log.append({"type": "tick", "i": 3}).seq == 3
+        assert [entry.seq for entry in log.entries(from_seq=0)] == [0, 1, 2, 3]
+        assert audit_check(log).ok
+
+    def test_kept_leaves_are_the_leaf_hashes_of_the_file_lines(self, tmp_path: Path) -> None:
+        log = AuditLog(tmp_path / "audit.log")
+        for i in range(20):
+            log.append({"type": "note", "i": i, "text": "zoë \u2028 \"q\" " * i})
+        for opened in (log, AuditLog(log.path)):
+            lines = opened.path.read_bytes().split(b"\n")
+            assert lines.pop() == b""
+            assert bytes(opened._leaves) == b"".join(hashlib.sha256(b"\x00" + line).digest() for line in lines)
+            for k in range(len(lines) + 1):
+                assert [(entry.seq, entry.line) for entry in opened.entries(from_seq=k)] == list(enumerate(lines))[k:]
 
     def test_refused_append_registers_no_submission(self, portal: Portal, archive: bytes, tmp_path: Path) -> None:
         received = portal.submit(archive, author_id="alice")

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from attestrep.archive import pack_tree
 from attestrep.bundle import parse_bundle
-from attestrep.portal import Portal, make_server
+from attestrep.portal import AuditEntry, Portal, make_server
 from attestrep.verifier import verify_bundle
 from conftest import PROVIDER_SEED, make_package
 from test_bundle_schema import HOSTILE
@@ -179,6 +179,35 @@ def test_changed_audit_log_is_503_and_not_extended(base_url: str, archive: bytes
     verify = requests.post(f"{base_url}/v1/verify", json={"token": token}, timeout=10)
     assert (verify.status_code, verify.json()["error"]) == (503, "AuditLogBroken")
     assert path.read_bytes() == changed
+
+
+def test_rewritten_audit_line_is_503_and_not_extended(base_url: str, archive: bytes, portal: Portal) -> None:
+    # a line rewritten into another canonical entry of the same length that keeps its seq
+    for i in range(3):
+        portal.audit_log.append({"type": "tick", "i": i})
+    path = portal.audit_log.path
+    changed = path.read_bytes().replace(b'"i":1', b'"i":7')
+    path.write_bytes(changed)
+
+    read = requests.get(f"{base_url}/v1/audit-log?from_seq=0", timeout=10)
+    assert (read.status_code, read.json()["error"]) == (503, "AuditLogBroken")
+    submit = requests.post(f"{base_url}/v1/submissions", data=archive, headers={"X-Author-Id": "alice"}, timeout=10)
+    assert (submit.status_code, submit.json()["error"]) == (503, "AuditLogBroken")
+    assert path.read_bytes() == changed
+
+
+def test_audit_log_body_is_the_stored_lines(base_url: str, archive: bytes, portal: Portal) -> None:
+    submission_id = _submit(base_url, archive)
+    requests.post(f"{base_url}/v1/submissions/{submission_id}/process", timeout=30)
+    portal.audit_log.append({"type": "note", "text": "zoë \u2028 \"q\" \\", "n": [1, None, True]})
+    lines = portal.audit_log.path.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    for k in range(len(lines) + 2):
+        response = requests.get(f"{base_url}/v1/audit-log?from_seq={k}", timeout=10)
+        assert response.status_code == 200
+        assert response.content == b'{"entries":[' + b",".join(lines[k:]) + b"]}"
+        before = json.dumps({"entries": [AuditEntry.from_dict(json.loads(line)).to_dict() for line in lines[k:]]})
+        assert json.loads(response.content) == json.loads(before)
 
 
 def _raw_exchange(base_url: str, head: bytes) -> tuple[int, dict]:
