@@ -10,10 +10,10 @@ tree it unpacks to: only regular files and directories (no links of any
 kind), names that follow the package path rules after one leading ``./``
 is dropped, no name twice, no file that is also another member's
 directory, no regular file named with a trailing ``/``, at most
-``max_bytes`` of file contents (``MAX_ARCHIVE_BYTES`` by default) and at
-most ``MAX_MEMBERS`` members. Member headers are read one at a time and
-checked as they come, so a refused archive is refused at its first bad or
-surplus member.
+``MAX_ARCHIVE_BYTES`` of file contents and at most ``MAX_MEMBERS`` members.
+Both limits are read when an archive is, not when this module loads. Member
+headers are read one at a time and checked as they come, so a refused
+archive is refused at its first bad or surplus member.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def pack_tree(root: str | Path) -> bytes:
     return buffer.getvalue()
 
 
-def _members(data: bytes, max_bytes: int) -> tuple[tarfile.TarFile, list[tuple[str, tarfile.TarInfo]]]:
+def _members(data: bytes) -> tuple[tarfile.TarFile, list[tuple[str, tarfile.TarInfo]]]:
     """The open archive and its checked ``(path, member)`` directories and regular files."""
     checked: list[tuple[str, tarfile.TarInfo]] = []
     names: set[str] = set()
@@ -97,19 +97,19 @@ def _members(data: bytes, max_bytes: int) -> tuple[tarfile.TarFile, list[tuple[s
             else:
                 files.add(name)
                 total += member.size
-                if total > max_bytes:
-                    raise ArchiveMalformed(f"archive exceeds {max_bytes} bytes unpacked")
+                if total > MAX_ARCHIVE_BYTES:
+                    raise ArchiveMalformed(f"archive exceeds {MAX_ARCHIVE_BYTES} bytes unpacked")
             checked.append((name, member))
     except tarfile.TarError as exc:
         raise ArchiveMalformed(f"unreadable tar: {exc}") from exc
     return tar, checked
 
 
-def unpack_archive(data: bytes, dest: str | Path, max_bytes: int = MAX_ARCHIVE_BYTES) -> None:
+def unpack_archive(data: bytes, dest: str | Path) -> None:
     """Extract a package archive into ``dest``, refusing anything unsafe."""
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
-    tar, members = _members(data, max_bytes)
+    tar, members = _members(data)
     with tar:
         for name, member in members:
             target = dest / name
@@ -123,9 +123,9 @@ def unpack_archive(data: bytes, dest: str | Path, max_bytes: int = MAX_ARCHIVE_B
                 target.chmod(0o755)
 
 
-def digest_archive(data: bytes, max_bytes: int = MAX_ARCHIVE_BYTES) -> PackageDigest:
+def digest_archive(data: bytes) -> PackageDigest:
     """In memory, ``digest_package`` of the tree ``unpack_archive`` would write; refuses what it refuses."""
-    tar, members = _members(data, max_bytes)
+    tar, members = _members(data)
     with tar:
         return digest_entries(
             (name, *stream_sha256(tar.extractfile(member))) for name, member in members if member.isreg()

@@ -68,10 +68,10 @@ def _run_package(args: argparse.Namespace):
     import tempfile
 
     from attestrep.package_model import load_manifest
-    from attestrep.runner import ExecutionLimits, execute
+    from attestrep.runner import execute
     manifest = load_manifest(args.directory)
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="attestrep-run-")
-    record = execute(args.directory, manifest, work_dir, limits=ExecutionLimits(max_seconds=args.max_seconds))
+    record = execute(args.directory, manifest, work_dir, max_seconds=args.max_seconds)
     return record, work_dir
 
 
@@ -226,7 +226,6 @@ def _cmd_econ_adopt(args: argparse.Namespace) -> int:
             tee_cost_per_accepted=args.c_a,
             manual_cost_per_submission=args.c_j,
             acceptance_rate=args.alpha,
-            submissions_per_period=args.n_s,
         )
     )
     _emit(result.to_dict(), as_json=args.json)
@@ -237,7 +236,6 @@ def _cmd_econ_stringency(args: argparse.Namespace) -> int:
     from attestrep.economics import StringencyParams, stringency_optimum
     result = stringency_optimum(
         StringencyParams(cost_scale=args.k, cost_exponent=args.m, benefit_slope=args.b),
-        tee_available=args.tee_cost is not None,
         tee_cost=args.tee_cost,
     )
     _emit(result.to_dict(), as_json=args.json)
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     adopt.add_argument("--c-a", dest="c_a", required=True, help="cost per accepted paper")
     adopt.add_argument("--c-j", dest="c_j", required=True, help="manual cost per submission")
     adopt.add_argument("--alpha", required=True, help="acceptance rate")
-    adopt.add_argument("--n-s", dest="n_s", type=int, default=1, help="submissions per period")
     adopt.add_argument("--json", action="store_true")
     adopt.set_defaults(func=_cmd_econ_adopt)
 

@@ -9,7 +9,8 @@ Three pieces, all pure functions:
   d = 1-epsilon, epsilon being the chance of a successful hardware exploit.
 * Journal adoption: manual review costs c_J per submission; attestation
   costs c_A per accepted paper, i.e. c_A*alpha per submission. Adoption is
-  strictly cheaper iff c_A*alpha < c_J, equivalently alpha < c_J/c_A.
+  strictly cheaper iff c_A*alpha < c_J, equivalently alpha < c_J/c_A. The
+  number of submissions scales both sides alike, so it is not an input.
 * Certification stringency: a journal picks detection stringency v in [0,1]
   at convex cost C(v) = k*v^m (k > 0, m > 1) against linear benefit b*v.
   The interior optimum solves C'(v) = b. Attestation offers v = 1 at flat
@@ -109,25 +110,20 @@ class AdoptionParams:
     tee_cost_per_accepted: Decimal
     manual_cost_per_submission: Decimal
     acceptance_rate: Decimal
-    submissions_per_period: int = 1
 
     def __init__(
         self,
         tee_cost_per_accepted: Decimal | str | int | float,
         manual_cost_per_submission: Decimal | str | int | float,
         acceptance_rate: Decimal | str | int | float,
-        submissions_per_period: int = 1,
     ) -> None:
         object.__setattr__(self, "tee_cost_per_accepted", _as_decimal(tee_cost_per_accepted))
         object.__setattr__(self, "manual_cost_per_submission", _as_decimal(manual_cost_per_submission))
         object.__setattr__(self, "acceptance_rate", _as_decimal(acceptance_rate))
-        object.__setattr__(self, "submissions_per_period", submissions_per_period)
         if self.tee_cost_per_accepted <= 0 or self.manual_cost_per_submission <= 0:
             raise ValueError("costs must be positive")
         if not Decimal(0) < self.acceptance_rate <= Decimal(1):
             raise ValueError("acceptance_rate must be in (0, 1]")
-        if self.submissions_per_period < 1:
-            raise ValueError("submissions_per_period must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,7 @@ def adoption(params: AdoptionParams) -> AdoptionResult:
     """Evaluate the adoption condition c_A * alpha < c_J.
 
     Strict inequality: at exact cost parity the journal has no reason to
-    switch. The per-period submission volume scales both sides equally and
-    cancels out of every returned figure.
+    switch.
     """
     per_submission = params.tee_cost_per_accepted * params.acceptance_rate
     return AdoptionResult(
@@ -194,23 +189,21 @@ class StringencyResult:
 
 def stringency_optimum(
     params: StringencyParams,
-    tee_available: bool = False,
     tee_cost: Decimal | str | int | float | None = None,
 ) -> StringencyResult:
     """Optimal verification stringency with and without attestation.
 
     Manual regime: first-order condition k*m*v^(m-1) = b, clipped to [0, 1].
-    With attestation available at flat cost below C(1), full stringency
-    v = 1 dominates any interior manual optimum.
+    Attestation is available exactly when ``tee_cost`` is given; at a flat
+    cost below C(1), full stringency v = 1 dominates any interior manual
+    optimum.
     """
     k, m, b = params.cost_scale, params.cost_exponent, params.benefit_slope
     ratio = b / (k * m)  # the root is at least 1 exactly when the ratio is; raising it could overflow
     v_manual = 1.0 if ratio >= 1.0 else ratio ** (1.0 / (m - 1.0))
     manual = StringencyResult(v_star=v_manual, regime_cost=params.cost(v_manual), regime="manual")
-    if not tee_available:
-        return manual
     if tee_cost is None:
-        raise ValueError("tee_cost required when tee_available")
+        return manual
     tee_cost_f = float(_as_decimal(tee_cost))
     if tee_cost_f < params.cost(1.0):
         return StringencyResult(v_star=1.0, regime_cost=tee_cost_f, regime="tee")
@@ -266,7 +259,6 @@ def format_usd(value: Decimal | str | int | float) -> str:
 def cost_comparison(
     params: AdoptionParams,
     storage_range: tuple[float, float] | tuple[Decimal, Decimal] = (Decimal("0.05"), Decimal("0.30")),
-    verification_times: tuple[str, str] = ("weeks to months", "milliseconds"),
     tee_cost_range: tuple[float, float] | tuple[Decimal, Decimal] | None = None,
 ) -> ComparisonTable:
     """Side-by-side comparison of manual review and attested execution.
@@ -284,8 +276,6 @@ def cost_comparison(
     storage_lo, storage_hi = _as_decimal(storage_range[0]), _as_decimal(storage_range[1])
     if not 0 <= storage_lo <= storage_hi:
         raise ValueError("storage_range must be non-negative and ordered")
-    manual_time, tee_time = verification_times
-
     tee_cost_cell = f"${format_usd(lo)}–${format_usd(hi)} per accepted paper"
     if storage_hi > 0:
         tee_cost_cell += f" (+ ${format_usd(storage_lo)}–${format_usd(storage_hi)} storage)"
@@ -299,7 +289,7 @@ def cost_comparison(
         ComparisonRow("cost_bearer", "journal / authors (via fee)", "journal (negligible per paper)"),
         ComparisonRow("detection_probability", "below 1 (reviewer effort and supply)", "near 1 (cryptographic binding)"),
         ComparisonRow("proprietary_data_coverage", "usually exempted", "covered; data never leaves the enclave"),
-        ComparisonRow("verification_time", manual_time, tee_time),
+        ComparisonRow("verification_time", "weeks to months", "milliseconds"),
         ComparisonRow("auditability", "not independently checkable", "public, replayable, tamper-evident"),
         ComparisonRow("scalability", "bounded by reviewer supply", "scales with cloud capacity"),
     )

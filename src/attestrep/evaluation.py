@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 
 from attestrep import AttestrepError
@@ -109,10 +109,9 @@ class AggregateReport:
     runtime_mean_hours: Decimal | None
     runtime_std_hours: Decimal | None
     runtime_sem_hours: Decimal | None
-    overhead_pct_range: tuple[int, int] = REPORTED_FULL_PILOT["isolation_overhead_pct_range"]
-    annotations: dict = field(default_factory=lambda: _annotations())
 
     def to_dict(self) -> dict:
+        """The computed statistics, then the full pilot's reported figures, which the report only carries."""
         def text(value: Decimal | None) -> str | None:
             return None if value is None else str(value)
 
@@ -121,21 +120,17 @@ class AggregateReport:
             "runtime_mean_hours": text(self.runtime_mean_hours),
             "runtime_std_hours": text(self.runtime_std_hours),
             "runtime_sem_hours": text(self.runtime_sem_hours),
-            "overhead_pct_range": list(self.overhead_pct_range),
-            "annotations": self.annotations,
+            "overhead_pct_range": list(REPORTED_FULL_PILOT["isolation_overhead_pct_range"]),
+            "annotations": {
+                "reported_full_pilot_cost_mean_usd": {
+                    name: str(value) for name, value in REPORTED_FULL_PILOT["cost_mean_usd"].items()
+                },
+                "reported_full_pilot_success_rate": {
+                    name: str(value) for name, value in REPORTED_FULL_PILOT["first_run_success_rate"].items()
+                },
+                "note": "reported values cover the full pilot; computed statistics cover this batch only",
+            },
         }
-
-
-def _annotations() -> dict:
-    return {
-        "reported_full_pilot_cost_mean_usd": {
-            name: str(value) for name, value in REPORTED_FULL_PILOT["cost_mean_usd"].items()
-        },
-        "reported_full_pilot_success_rate": {
-            name: str(value) for name, value in REPORTED_FULL_PILOT["first_run_success_rate"].items()
-        },
-        "note": "reported values cover the full pilot; computed statistics cover this batch only",
-    }
 
 
 def load_fixture() -> bytes:
@@ -285,15 +280,12 @@ def render_text(report: AggregateReport) -> str:
         f" sample std {cell(report.runtime_std_hours)} h,"
         f" std error of mean {cell(report.runtime_sem_hours)} h"
     )
-    lines.append(
-        f"isolation overhead (reported, not computed): "
-        f"{report.overhead_pct_range[0]}-{report.overhead_pct_range[1]}%"
-    )
-    ann = report.annotations
+    low, high = REPORTED_FULL_PILOT["isolation_overhead_pct_range"]
+    lines.append(f"isolation overhead (reported, not computed): {low}-{high}%")
     lines.append(
         "reported full-pilot means: "
-        + ", ".join(f"{k} ${v}" for k, v in sorted(ann["reported_full_pilot_cost_mean_usd"].items()))
+        + ", ".join(f"{k} ${v}" for k, v in sorted(REPORTED_FULL_PILOT["cost_mean_usd"].items()))
         + " | reported success rates: "
-        + ", ".join(f"{k} {v}" for k, v in sorted(ann["reported_full_pilot_success_rate"].items()))
+        + ", ".join(f"{k} {v}" for k, v in sorted(REPORTED_FULL_PILOT["first_run_success_rate"].items()))
     )
     return "\n".join(lines)

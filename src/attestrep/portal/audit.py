@@ -6,7 +6,9 @@ so rewriting any historical event is evident from the file alone. A line is
 the canonical JSON of an ``AuditEntry``. ``_scan`` is the one chain walk:
 ``audit_check`` runs it over a file, and ``AuditLog`` runs it once when it
 opens, so a broken log raises ``AuditLogBroken`` instead of being appended
-to. The open log keeps, for each entry, the byte offset of its line and its
+to. The scan accepts a last line with no newline; opening the log then
+writes that newline, so the next append starts a line of its own. The open
+log keeps, for each entry, the byte offset of its line and its
 RFC 6962 leaf hash, SHA-256(0x00 || line without its newline): 32 bytes per
 entry in memory, filled by that scan and by ``append``. ``entries(from_seq)``
 seeks to its first entry, checks each line it returns against its leaf hash
@@ -124,7 +126,16 @@ class AuditLog:
             self._offsets.append(offset)
             self._leaves += leaf
             self._last_hash = entry.entry_hash
-        self._end = self.path.stat().st_size if self._offsets else 0  # committed end
+        size = self.path.stat().st_size if self.path.exists() else 0
+        if size:
+            with self.path.open("r+b") as fh:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":  # an append would otherwise join the last line
+                    fh.write(b"\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                    size += 1
+        self._end = size if self._offsets else 0  # committed end
 
     def append(self, event: dict) -> AuditEntry:
         with self._lock:

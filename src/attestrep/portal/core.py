@@ -22,9 +22,9 @@ written before the record flips to Proved, so a token resolves only once its
 proof is committed. On startup any submission stuck in Running is swept
 back to Received, so observable states after a crash are Received or
 terminal. A ``tokens/`` directory left by older versions is ignored. The
-limits are module constants, not settings: runs get ``RUN_LIMITS``,
-archives ``archive.MAX_ARCHIVE_BYTES`` and ``archive.MAX_MEMBERS``,
-duplicates ``DUPLICATE_WINDOW_SECONDS``.
+limits are module constants, not settings: runs get ``RUN_SECONDS`` and
+``runner.MAX_OUTPUT_BYTES``, archives ``archive.MAX_ARCHIVE_BYTES`` and
+``archive.MAX_MEMBERS``, duplicates ``DUPLICATE_WINDOW_SECONDS``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from attestrep.canonical import canonical_json_bytes
 from attestrep.package_model import PackageError, digest_package, load_manifest
 from attestrep.portal.audit import AuditCheck, AuditEntry, AuditLog, AuditLogBroken, StoredEntry, audit_check
 from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore, atomic_write, staged_write
-from attestrep.runner import ExecutionLimits, RunnerError, execute
+from attestrep.runner import RunnerError, execute
 from attestrep.verifier import DIGEST_MISMATCH, Verdict, verify_against_archive, verify_bundle
 
 logger = logging.getLogger(__name__)
@@ -66,8 +66,8 @@ STATE_FAILED = "Failed"
 
 # the same author resubmitting the same package within a day is a duplicate
 DUPLICATE_WINDOW_SECONDS = 86_400
-# what one package run may take; the output cap is the ExecutionLimits default of 1 GiB
-RUN_LIMITS = ExecutionLimits(max_seconds=600.0)
+# how long one package run may take; its outputs are capped at runner.MAX_OUTPUT_BYTES
+RUN_SECONDS = 600.0
 
 _TRANSITIONS = {
     STATE_RECEIVED: {STATE_RUNNING},
@@ -303,7 +303,7 @@ class Portal:
         try:
             try:
                 manifest = load_manifest(package_root)
-                record = execute(package_root, manifest, self._runs_dir / submission_id, limits=RUN_LIMITS)
+                record = execute(package_root, manifest, self._runs_dir / submission_id, max_seconds=RUN_SECONDS)
                 if record.package_digest != submission.package_digest:
                     raise PackageChanged(f"ran {record.package_digest.hex}, submitted {submission.package_digest.hex}")
                 bundle = build_bundle(record, self.provider, now=self.clock())

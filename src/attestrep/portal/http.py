@@ -3,7 +3,9 @@
 JSON in and out except for archive upload and proof download, which are
 raw bytes. Domain failures map to 4xx with ``{"error": name, "detail":
 message}``, and an audit log changed under the portal to 503
-``AuditLogBroken``; nothing portal-internal leaks into responses. The
+``AuditLogBroken``; nothing portal-internal leaks into responses. A proof
+is served only if its re-check on that read accepts it; otherwise the answer
+is 409 ``ProofRejected`` with the verdict's reason and detail. The
 audit-log body is ``{"entries":[...]}`` around the log's stored lines joined
 by commas: each element is one ``AuditEntry`` line exactly as the log file
 holds it, checked against its leaf hash and neither decoded nor encoded
@@ -186,7 +188,11 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, self.portal.get_submission(parts[2]).to_dict())
             elif len(parts) == 3 and parts[:2] == ["v1", "proofs"]:
                 result = self.portal.public_verify(parts[2])
-                self._send(200, result.bundle_bytes or b"", content_type="application/octet-stream")
+                verdict = result.verdict
+                if verdict.accepted:
+                    self._send(200, result.bundle_bytes, content_type="application/octet-stream")
+                else:
+                    self._send_json(409, {"error": "ProofRejected", "detail": f"{verdict.reason}: {verdict.detail}"})
             elif parts == ["v1", "audit-log"]:
                 from_seq = _count(parse_qs(query).get("from_seq", ["0"])[0], "from_seq")
                 lines = [entry.line for entry in self.portal.audit_entries(from_seq=from_seq)]

@@ -32,7 +32,6 @@ import stat
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from attestrep import AttestrepError
@@ -48,6 +47,8 @@ from attestrep.package_model import (
 logger = logging.getLogger(__name__)
 
 ENV_ALLOWLIST = ("PATH", "HOME", "LANG")
+# what one run's matched outputs may total; read at each snapshot
+MAX_OUTPUT_BYTES = 1 << 30
 
 _CHUNK = 1 << 20
 
@@ -84,12 +85,6 @@ class NoDeclaredOutputsMatched(RunnerError):
         super().__init__(f"no files matched declared outputs {list(declared)}")
 
 
-@dataclass(frozen=True)
-class ExecutionLimits:
-    max_seconds: float = 3600.0
-    max_output_bytes: int = 1 << 30
-
-
 class ExecutionRecord(ExecutionSummary):
     """Immutable record of one sandboxed run: its summary and the two tree digests."""
 
@@ -114,30 +109,37 @@ def _resolve_command(entrypoint: Path) -> list[str]:
     raise EntrypointMissing(str(entrypoint), "not executable and no interpreter for suffix")
 
 
+def _through_link(tree: Path, path: Path) -> bool:
+    """Whether ``path`` or any directory between ``tree`` and it is a symlink."""
+    parts = path.relative_to(tree).parts
+    return any(tree.joinpath(*parts[:end]).is_symlink() for end in range(1, len(parts) + 1))
+
+
 def _collect_outputs(tree: Path, patterns: tuple[str, ...]) -> list[str]:
     """Relative paths of regular files matching the declared output globs.
 
-    Symlinks are never followed or matched; the run may have created them
-    and they must not leak content from outside the sandbox.
+    Symlinks are never followed or matched: a match counts only if neither
+    it nor any directory between ``tree`` and it is a link. The run may have
+    created links, and they must not leak content from outside the sandbox.
     """
     matched: set[str] = set()
     for pattern in patterns:
         target = tree / pattern.rstrip("/")
-        if target.is_dir() and not target.is_symlink():
-            for dirpath, dirnames, filenames in os.walk(target, followlinks=False):
-                dirnames[:] = [d for d in dirnames if not (Path(dirpath) / d).is_symlink()]
+        if target.is_dir() and not _through_link(tree, target):
+            # os.walk descends into no link, so below ``target`` only the file itself can be one
+            for dirpath, _, filenames in os.walk(target):
                 for name in filenames:
                     full = Path(dirpath) / name
                     if full.is_file() and not full.is_symlink():
                         matched.add(full.relative_to(tree).as_posix())
         else:
             for hit in tree.glob(pattern):
-                if hit.is_file() and not hit.is_symlink():
+                if hit.is_file() and not _through_link(tree, hit):
                     matched.add(hit.relative_to(tree).as_posix())
     return sorted(matched)
 
 
-def _snapshot_outputs(tree: Path, rel_paths: list[str], snapshot: Path, max_bytes: int) -> PackageDigest:
+def _snapshot_outputs(tree: Path, rel_paths: list[str], snapshot: Path) -> PackageDigest:
     """Copy the matched outputs into ``snapshot``, hashing each chunk on the way; their digest."""
     entries = []
     total = 0
@@ -149,8 +151,8 @@ def _snapshot_outputs(tree: Path, rel_paths: list[str], snapshot: Path, max_byte
         with (tree / rel).open("rb") as src, dst.open("wb") as out:
             while chunk := src.read(_CHUNK):
                 total += len(chunk)
-                if total > max_bytes:
-                    raise OutputLimitExceeded(total, max_bytes)
+                if total > MAX_OUTPUT_BYTES:
+                    raise OutputLimitExceeded(total, MAX_OUTPUT_BYTES)
                 hasher.update(chunk)
                 out.write(chunk)
         entries.append((rel, hasher.digest(), total - start))
@@ -168,10 +170,10 @@ def execute(
     root: str | Path,
     manifest: PackageManifest,
     work_dir: str | Path,
-    limits: ExecutionLimits = ExecutionLimits(),
+    max_seconds: float = 3600.0,
     nonce: bytes | None = None,
 ) -> ExecutionRecord:
-    """Run ``manifest.entrypoint`` in a fresh copy of ``root``.
+    """Run ``manifest.entrypoint`` in a fresh copy of ``root`` for at most ``max_seconds``.
 
     ``work_dir`` receives the sandbox and log files and is kept for the
     caller. ``nonce`` overrides the per-run random nonce; only tests and
@@ -218,9 +220,9 @@ def execute(
     with stdout_log.open("wb") as out_fh, stderr_log.open("wb") as err_fh:
         proc = subprocess.Popen(command, cwd=tree, env=env, stdout=out_fh, stderr=err_fh, start_new_session=True)
         try:
-            exit_status = proc.wait(timeout=limits.max_seconds)
+            exit_status = proc.wait(timeout=max_seconds)
         except subprocess.TimeoutExpired:
-            raise TimeLimitExceeded(limits.max_seconds) from None
+            raise TimeLimitExceeded(max_seconds) from None
         finally:
             # on every way out (exit, timeout, an interrupt): nothing the entrypoint
             # left running may change the outputs that are about to be read
@@ -238,7 +240,7 @@ def execute(
     if snapshot.exists():
         shutil.rmtree(snapshot)
     snapshot.mkdir()
-    output_digest = _snapshot_outputs(tree, matched, snapshot, limits.max_output_bytes)
+    output_digest = _snapshot_outputs(tree, matched, snapshot)
 
     return ExecutionRecord(
         package_digest=package_digest,

@@ -33,7 +33,8 @@ from attestrep.economics import (
 )
 from attestrep.evaluation import aggregate, ingest_csv, load_fixture
 from attestrep.package_model import PackageDigest, digest_package
-from attestrep.portal import Portal, audit_check
+from attestrep.portal.audit import audit_check
+from attestrep.portal.core import Portal
 from attestrep.portal.core import STATE_PROVED
 from attestrep.runner import ExecutionRecord
 from attestrep.verifier import DIGEST_MISMATCH, verify_bundle
@@ -289,7 +290,6 @@ def test_criterion_10_stringency_model() -> None:
 
         with_tee = stringency_optimum(
             StringencyParams(cost_scale=1, cost_exponent=2, benefit_slope=1),
-            tee_available=True,
             tee_cost="0.01",
         )
         assert with_tee.v_star == 1.0

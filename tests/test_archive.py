@@ -126,11 +126,13 @@ def test_compressed_archive_is_refused(compress, tmp_path: Path) -> None:
     assert portal.audit_entries() == []
 
 
-def test_digest_archive_size_cap() -> None:
+def test_digest_archive_size_cap(monkeypatch: pytest.MonkeyPatch) -> None:
     data = make_tar([("a", b"12345"), ("b", b"6789")])
-    assert digest_archive(data, max_bytes=9).total_bytes == 9
+    monkeypatch.setattr(archive, "MAX_ARCHIVE_BYTES", 9)
+    assert digest_archive(data).total_bytes == 9
+    monkeypatch.setattr(archive, "MAX_ARCHIVE_BYTES", 8)
     with pytest.raises(ArchiveMalformed):
-        digest_archive(data, max_bytes=8)
+        digest_archive(data)
 
 
 @pytest.mark.parametrize(

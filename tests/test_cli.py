@@ -11,7 +11,8 @@ import pytest
 
 from attestrep.cli import main
 from attestrep.package_model import digest_package
-from attestrep.portal import Portal, make_server
+from attestrep.portal.core import Portal
+from attestrep.portal.http import make_server
 from conftest import PROVIDER_SEED, make_package
 
 SEED_HEX = PROVIDER_SEED.hex()

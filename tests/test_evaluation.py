@@ -110,11 +110,11 @@ class TestFixtureAggregates:
 
     def test_overhead_carried_as_metadata(self) -> None:
         report = aggregate(ingest_csv(load_fixture()))
-        assert report.overhead_pct_range == (7, 12)
+        assert report.to_dict()["overhead_pct_range"] == [7, 12]
 
     def test_annotations_present_and_distinct_from_computed(self) -> None:
         report = aggregate(ingest_csv(load_fixture()))
-        annotations = report.annotations
+        annotations = report.to_dict()["annotations"]
         assert annotations["reported_full_pilot_cost_mean_usd"] == {"Google": "1.80", "Azure": "1.35"}
         assert annotations["reported_full_pilot_success_rate"] == {"Google": "0.68", "Azure": "0.95"}
         # batch statistics are computed, not copied from the reported values

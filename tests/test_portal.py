@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tarfile
 import threading
 from pathlib import Path
@@ -14,25 +16,23 @@ from types import SimpleNamespace
 import pytest
 
 from attestrep import archive as archive_module
+from attestrep import runner
 from attestrep.archive import MAX_ARCHIVE_BYTES, ArchiveMalformed, pack_tree, unpack_archive
 from attestrep.bundle import parse_bundle
 from attestrep.canonical import SchemaError, canonical_json_bytes
 from attestrep.package_model import ManifestMissing, PathRuleViolation, UnreadableFile, digest_package
-from attestrep.portal import (
-    BlobCorrupt,
-    BlobMissing,
-    BlobStore,
+from attestrep.portal import audit, core
+from attestrep.portal.audit import AuditEntry, AuditLog, AuditLogBroken, audit_check
+from attestrep.portal.core import (
     DuplicateSubmission,
     Portal,
     Submission,
     UnknownSubmission,
     UnknownToken,
     WrongState,
-    audit_check,
 )
-from attestrep.portal import audit, core
-from attestrep.portal.audit import AuditEntry, AuditLog, AuditLogBroken
-from attestrep.runner import ExecutionLimits, execute
+from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore
+from attestrep.runner import execute
 from attestrep.verifier import DIGEST_MISMATCH, verify_bundle
 from conftest import PROVIDER_SEED, make_package
 
@@ -147,9 +147,10 @@ class TestArchive:
         with pytest.raises(ArchiveMalformed):
             unpack_archive(b"definitely not a tar", tmp_path / "out")
 
-    def test_size_cap(self, tmp_path: Path, archive: bytes) -> None:
+    def test_size_cap(self, tmp_path: Path, archive: bytes, monkeypatch: pytest.MonkeyPatch) -> None:
+        monkeypatch.setattr(archive_module, "MAX_ARCHIVE_BYTES", 4)
         with pytest.raises(ArchiveMalformed):
-            unpack_archive(archive, tmp_path / "out", max_bytes=4)
+            unpack_archive(archive, tmp_path / "out")
 
     @pytest.mark.parametrize("names", [["a", "a/b"], ["a/b", "a"]], ids=["file-then-child", "child-then-file"])
     def test_rejects_file_that_is_also_a_directory(self, tmp_path: Path, names: list[str]) -> None:
@@ -806,6 +807,18 @@ class TestAudit:
         assert [entry.seq for entry in log.entries(from_seq=0)] == [0, 1, 2, 3]
         assert audit_check(log).ok
 
+    def test_append_after_a_last_line_with_no_newline_starts_a_new_line(self, tmp_path: Path) -> None:
+        log = AuditLog(tmp_path / "audit.log")
+        for i in range(2):
+            log.append({"type": "tick", "i": i})
+        lines = log.path.read_bytes().splitlines(keepends=True)
+        log.path.write_bytes(lines[0] + lines[1].removesuffix(b"\n"))
+        log = AuditLog(log.path)
+        assert log.append({"type": "tick", "i": 2}).seq == 2
+        assert [entry.seq for entry in log.entries(from_seq=0)] == [0, 1, 2]
+        assert audit_check(log).ok
+        assert log.path.read_bytes().splitlines(keepends=True)[:2] == lines
+
     def test_kept_leaves_are_the_leaf_hashes_of_the_file_lines(self, tmp_path: Path) -> None:
         log = AuditLog(tmp_path / "audit.log")
         for i in range(20):
@@ -851,7 +864,8 @@ class TestAudit:
 
 class TestFixedLimits:
     def test_limits_are_the_ones_always_served(self) -> None:
-        assert core.RUN_LIMITS == ExecutionLimits(max_seconds=600.0, max_output_bytes=1 << 30)
+        assert core.RUN_SECONDS == 600.0
+        assert runner.MAX_OUTPUT_BYTES == 1 << 30
         assert core.DUPLICATE_WINDOW_SECONDS == 86_400
         assert MAX_ARCHIVE_BYTES == 1 << 30
 
@@ -859,12 +873,12 @@ class TestFixedLimits:
         seen = []
 
         def recording_execute(*args, **kwargs):
-            seen.append(kwargs["limits"])
+            seen.append(kwargs["max_seconds"])
             return execute(*args, **kwargs)
 
         monkeypatch.setattr(core, "execute", recording_execute)
         assert portal.process(portal.submit(archive).submission_id).state == "Proved"
-        assert seen == [core.RUN_LIMITS]
+        assert seen == [core.RUN_SECONDS]
 
     def test_new_store_provider_file_bytes_are_frozen(self, tmp_path: Path) -> None:
         portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED, clock=lambda: 1_700_000_000)
@@ -897,3 +911,13 @@ class TestLifecycleAndRecovery:
         done = reopened.process(submission.submission_id)
         assert done.state == "Proved"
         assert reopened.audit_check().ok
+
+
+def test_the_portal_core_loads_no_http_code() -> None:
+    code = "import json, sys, attestrep.portal.core; print(json.dumps(sorted(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    loaded = set(json.loads(proc.stdout))
+    assert loaded.isdisjoint({"attestrep.portal.http", "http.server"})

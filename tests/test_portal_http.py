@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from attestrep.archive import pack_tree
 from attestrep.bundle import parse_bundle
-from attestrep.portal import AuditEntry, Portal, make_server
+from attestrep.portal.audit import AuditEntry
+from attestrep.portal.core import Portal
+from attestrep.portal.http import make_server
 from attestrep.verifier import verify_bundle
 from conftest import PROVIDER_SEED, make_package
 from test_bundle_schema import HOSTILE
@@ -165,6 +167,28 @@ def test_verify_by_token_with_missing_package_blob(base_url: str, archive: bytes
     response = requests.post(f"{base_url}/v1/verify", json={"token": done["token"]}, timeout=10)
     assert response.status_code == 200, response.text
     assert response.json()["reason"] == "DigestMismatch"
+
+
+@pytest.mark.parametrize(
+    ("blob", "reason"), [("bundle_blob", "BundleIdMismatch"), ("archive_blob", "DigestMismatch")]
+)
+def test_proof_its_recheck_rejects_is_409_not_served(
+    base_url: str, archive: bytes, portal: Portal, blob: str, reason: str
+) -> None:
+    submission_id = _submit(base_url, archive)
+    done = requests.post(f"{base_url}/v1/submissions/{submission_id}/process", timeout=30).json()
+    path = portal.blobs.path(done[blob])
+    data = path.read_bytes()
+    at = data.index(b'"bundle_id":"') + len(b'"bundle_id":"') if blob == "bundle_blob" else data.index(b"42\n")
+    path.write_bytes(data[:at] + (b"1" if data[at:at + 1] != b"1" else b"2") + data[at + 1:])
+
+    proof = requests.get(f"{base_url}/v1/proofs/{done['token']}", timeout=10)
+    assert proof.status_code == 409, proof.content[:200]
+    assert proof.headers["Content-Type"] == "application/json"
+    assert proof.json()["error"] == "ProofRejected"
+    assert proof.json()["detail"].startswith(f"{reason}: ")
+    verify = requests.post(f"{base_url}/v1/verify", json={"token": done["token"]}, timeout=10).json()
+    assert (verify["verdict"], verify["reason"]) == ("Reject", reason)
 
 
 def test_changed_audit_log_is_503_and_not_extended(base_url: str, archive: bytes, portal: Portal) -> None:

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from attestrep import runner
 from attestrep.package_model import UnreadableFile, digest_package, load_manifest
 from attestrep.runner import (
     EntrypointMissing,
-    ExecutionLimits,
     NoDeclaredOutputsMatched,
     OutputLimitExceeded,
     TimeLimitExceeded,
@@ -64,8 +64,7 @@ def test_nonzero_exit_recorded(tmp_path: Path) -> None:
 def test_time_limit(tmp_path: Path) -> None:
     package = make_package(tmp_path / "pkg", script="#!/bin/sh\nsleep 10\n")
     with pytest.raises(TimeLimitExceeded):
-        execute(package, load_manifest(package), limits=ExecutionLimits(max_seconds=0.3),
-                work_dir=tmp_path / "work")
+        execute(package, load_manifest(package), max_seconds=0.3, work_dir=tmp_path / "work")
 
 
 def _leaves_a_late_writer(marker: Path, then: str) -> str:
@@ -77,7 +76,7 @@ def test_time_limit_kills_the_whole_group(tmp_path: Path) -> None:
     marker = tmp_path / "marker"
     package = make_package(tmp_path / "pkg", script=_leaves_a_late_writer(marker, "sleep 10"))
     with pytest.raises(TimeLimitExceeded):
-        execute(package, load_manifest(package), tmp_path / "work", limits=ExecutionLimits(max_seconds=0.3))
+        execute(package, load_manifest(package), tmp_path / "work", max_seconds=0.3)
     time.sleep(1.5)
     assert not marker.exists()
 
@@ -129,14 +128,14 @@ def test_failed_run_skips_output_check(tmp_path: Path) -> None:
     assert record.output_digest.file_count == 0
 
 
-def test_output_limit(tmp_path: Path) -> None:
+def test_output_limit(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
     package = make_package(
         tmp_path / "pkg",
         script="#!/bin/sh\nmkdir -p results\nhead -c 4096 /dev/zero > results/big.bin\n",
     )
+    monkeypatch.setattr(runner, "MAX_OUTPUT_BYTES", 100)
     with pytest.raises(OutputLimitExceeded):
-        execute(package, load_manifest(package), limits=ExecutionLimits(max_output_bytes=100),
-                work_dir=tmp_path / "work")
+        execute(package, load_manifest(package), work_dir=tmp_path / "work")
 
 
 def test_glob_output_patterns(tmp_path: Path) -> None:
@@ -147,6 +146,40 @@ def test_glob_output_patterns(tmp_path: Path) -> None:
     )
     record = run_package(package, tmp_path / "work")
     assert record.output_digest.file_count == 2
+
+
+@pytest.mark.parametrize(
+    ("links", "pattern"),
+    [
+        ("ln -s {outside} cfg", "cfg/secret.txt"),
+        ("ln -s {outside} cfg", "cfg/*.txt"),
+        ("mkdir -p results && ln -s {outside} results/sub", "results/*/*.txt"),
+        ("ln -s {outside_parent} results", "results/outside/"),
+    ],
+    ids=["path", "glob", "glob-through-linked-dir", "directory-under-linked-dir"],
+)
+def test_outputs_are_never_matched_through_a_link(tmp_path: Path, links: str, pattern: str) -> None:
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "secret.txt").write_text("secret\n")
+    script = "#!/bin/sh\n" + links.format(outside=outside, outside_parent=tmp_path) + "\necho ok > ok.txt\n"
+    package = make_package(tmp_path / "pkg", script=script, outputs=(pattern, "ok.txt"))
+    work = tmp_path / "work"
+    record = run_package(package, work)
+    assert record.output_digest.file_count == 1
+    assert sorted(p.relative_to(work / "outputs").as_posix() for p in (work / "outputs").rglob("*")
+                  if p.is_file()) == ["ok.txt"]
+
+
+def test_links_inside_a_matched_directory_are_skipped(tmp_path: Path) -> None:
+    outside = tmp_path / "outside.txt"
+    outside.write_text("secret\n")
+    script = ("#!/bin/sh\nmkdir -p results\necho 42 > results/answer.txt\n"
+              f"ln -s {outside} results/leak.txt\nln -s .. results/up\n")
+    work = tmp_path / "work"
+    record = run_package(make_package(tmp_path / "pkg", script=script), work)
+    assert record.output_digest.file_count == 1
+    assert [p.name for p in (work / "outputs" / "results").iterdir()] == ["answer.txt"]
 
 
 def test_original_root_untouched(answer42: Path, tmp_path: Path) -> None:
