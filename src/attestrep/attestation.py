@@ -15,6 +15,7 @@ signed, which is all but ``signature`` (and, for quotes, ``signing_key_id``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 
@@ -43,6 +44,10 @@ _ATTEST_KEY_INFO = b"attest-key-v1"
 DEFAULT_PROVIDER_ID = "SIM-VMTEE-1"
 DEFAULT_VALIDITY_SECONDS = 10 * 365 * 24 * 3600
 
+# distinct public keys kept loaded: a root and an attestation key for each of as
+# many providers as the verifier's chain memo holds (``verifier.CHAIN_MEMO_SIZE``)
+KEY_MEMO_SIZE = 128
+
 
 class AttestationError(AttestrepError):
     """Base class for attestation provider failures."""
@@ -68,9 +73,14 @@ def key_fingerprint(public_key_bytes: bytes) -> bytes:
     return hashlib.sha256(public_key_bytes).digest()
 
 
+# A loaded key is a pure function of its bytes; only the loading is remembered,
+# never a signature's outcome. A key that fails to load raises and is not kept.
+_public_key = functools.lru_cache(maxsize=KEY_MEMO_SIZE)(Ed25519PublicKey.from_public_bytes)
+
+
 def _verify_ed25519(public_key_bytes: bytes, signature: bytes, message: bytes) -> bool:
     try:
-        Ed25519PublicKey.from_public_bytes(public_key_bytes).verify(signature, message)
+        _public_key(public_key_bytes).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False

@@ -3,7 +3,8 @@
 One encoding rule for everything that gets hashed or signed: UTF-8 JSON,
 object keys sorted ascending by byte order, no insignificant whitespace,
 integers in decimal, binary fields as lowercase hex strings. Anything that
-recomputes a hash must go through this module.
+recomputes a hash must go through this module, whose one module-level
+encoder writes every canonical byte string.
 
 A wire structure is a class deriving from ``Wire``. Its field table is its
 annotated class attributes, after those of a ``Wire`` base, typed ``int``,
@@ -13,6 +14,9 @@ integer minimum, whether the signature covers the field) and the constant
 ``TAGS`` of the class. The table is compiled when the class is defined into
 a frozen record (constructor, equality, hash, ``repr``, ``replace``) and the
 one encode/decode pair every structure uses, ``to_dict`` and ``from_dict``.
+A field that fails to decode is named by its dotted path, which is put
+together only as the ``SchemaError`` passes up; a field that decodes builds
+no location text.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ import sys
 from typing import Any, ClassVar
 
 
+# One encoder for every call: ``json.dumps`` with any non-default argument builds a
+# new ``JSONEncoder`` each time. ``encode`` keeps no state between calls.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def canonical_json_bytes(obj: Any) -> bytes:
     """Serialize ``obj`` to canonical JSON bytes.
 
@@ -32,13 +41,7 @@ def canonical_json_bytes(obj: Any) -> bytes:
     ``sort_keys`` uses) coincides with UTF-8 byte order. NaN/Infinity are
     rejected: they have no JSON form and would break round-trips.
     """
-    return json.dumps(
-        obj,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-        allow_nan=False,
-    ).encode("utf-8")
+    return _ENCODER.encode(obj).encode("utf-8")
 
 
 def sha256(data: bytes) -> bytes:
@@ -46,7 +49,21 @@ def sha256(data: bytes) -> bytes:
 
 
 class SchemaError(ValueError):
-    """A decoded value breaks the field table of its structure."""
+    """A decoded value breaks the field table of its structure.
+
+    ``path`` holds the field names from the outermost structure down to the
+    value at fault, each added by ``from_dict`` as the error passes up, so a
+    location is only ever spelled out for a value that failed.
+    """
+
+    def __init__(self, problem: str, owner: str = "") -> None:
+        super().__init__(problem)
+        self.problem = problem
+        self.owner = owner  # the structure's name, shown when the fault is its own key set at the top
+        self.path: list[str] = []
+
+    def __str__(self) -> str:
+        return f"{'.'.join(self.path) or self.owner}: {self.problem}"
 
 
 def wire(*, hex_size: int | None = None, minimum: int | None = None, signed: bool = True) -> Any:
@@ -58,36 +75,37 @@ def _decoder(kind: type, hex_size: int | None, minimum: int | None):
     if issubclass(kind, Wire):
         return kind.from_dict
     if kind is bytes:
-        def decode(value: Any, where: str) -> bytes:
+        def decode(value: Any) -> bytes:
             try:
                 raw = bytes.fromhex(value)
             except (TypeError, ValueError):
                 raw = None
             if raw is None or len(raw) != hex_size or raw.hex() != value:
-                raise SchemaError(f"{where}: expected {hex_size} bytes as lowercase hex")
+                raise SchemaError(f"expected {hex_size} bytes as lowercase hex")
             return raw
     elif kind is str:
-        def decode(value: Any, where: str) -> str:
+        def decode(value: Any) -> str:
             if type(value) is str:
                 try:
                     value.encode("utf-8")  # a lone surrogate from a \u escape has no UTF-8 form
                     return value
                 except UnicodeEncodeError:
                     pass
-            raise SchemaError(f"{where}: expected a string of Unicode text")
+            raise SchemaError("expected a string of Unicode text")
     elif kind is dict:
-        def decode(value: Any, where: str) -> dict:
+        def decode(value: Any) -> dict:
             if type(value) is not dict:
-                raise SchemaError(f"{where}: expected a JSON object")
+                raise SchemaError("expected a JSON object")
             return value
     else:
         types = (int,) if kind is int else (int, float)
         bound = "" if minimum is None else f" >= {minimum}"
+        problem = f"expected {'an integer' if kind is int else 'a finite number'}{bound}"
 
-        def decode(value: Any, where: str) -> int | float:
+        def decode(value: Any) -> int | float:
             if (type(value) not in types or (type(value) is float and not math.isfinite(value))
                     or (minimum is not None and value < minimum)):
-                raise SchemaError(f"{where}: expected {'an integer' if kind is int else 'a finite number'}{bound}")
+                raise SchemaError(problem)
             return value
     return decode
 
@@ -147,14 +165,23 @@ class Wire:
 
     @classmethod
     def from_dict(cls, obj: Any, where: str = ""):
-        """Inverse of ``to_dict``: exact keys, constant tags, every field by its rule."""
-        if type(obj) is not dict or obj.keys() != cls._keys:
-            raise SchemaError(f"{where or cls.__name__}: expected exactly keys {sorted(cls._keys)}")
-        prefix = f"{where}." if where else ""
-        for tag, value in cls.TAGS.items():
-            if obj[tag] != value:
-                raise SchemaError(f"{prefix}{tag}: expected {value!r}")
-        # the decoders checked every value, so the instance is filled without a second pass
-        out = object.__new__(cls)
-        out.__dict__.update([(name, decode(obj[name], prefix + name)) for name, decode in cls._decoders])
-        return out
+        """Inverse of ``to_dict``: exact keys, constant tags, every field by its rule.
+
+        A ``SchemaError`` names the value at fault by its dotted path under ``where``.
+        """
+        name = None
+        try:
+            if type(obj) is not dict or obj.keys() != cls._keys:
+                raise SchemaError(f"expected exactly keys {sorted(cls._keys)}", cls.__name__)
+            for name, value in cls.TAGS.items():
+                if obj[name] != value:
+                    raise SchemaError(f"expected {value!r}")
+            # the decoders checked every value, so the instance is filled without a second pass
+            out = object.__new__(cls)
+            fields = out.__dict__
+            for name, decode in cls._decoders:
+                fields[name] = decode(obj[name])
+            return out
+        except SchemaError as exc:
+            exc.path[:0] = [step for step in (where, name) if step]
+            raise

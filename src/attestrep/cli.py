@@ -40,6 +40,18 @@ def _hex_bytes(length: int):
     return convert
 
 
+def _decimal(text: str):
+    """A finite decimal number; any other text is a usage error (NaN compares false with every cost)."""
+    from decimal import Decimal, InvalidOperation
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = None
+    if value is None or not value.is_finite():
+        raise argparse.ArgumentTypeError(f"expected a finite decimal number, got {text!r}")
+    return value
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         from attestrep.canonical import canonical_json_bytes
@@ -338,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     comply.set_defaults(func=_cmd_econ_comply)
 
     adopt = econ_sub.add_parser("adopt", help="journal adoption condition")
-    adopt.add_argument("--c-a", dest="c_a", required=True, help="cost per accepted paper")
-    adopt.add_argument("--c-j", dest="c_j", required=True, help="manual cost per submission")
-    adopt.add_argument("--alpha", required=True, help="acceptance rate")
+    adopt.add_argument("--c-a", dest="c_a", type=_decimal, required=True, help="cost per accepted paper")
+    adopt.add_argument("--c-j", dest="c_j", type=_decimal, required=True, help="manual cost per submission")
+    adopt.add_argument("--alpha", type=_decimal, required=True, help="acceptance rate")
     adopt.add_argument("--json", action="store_true")
     adopt.set_defaults(func=_cmd_econ_adopt)
 
@@ -348,18 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
     stringency.add_argument("--k", type=float, required=True, help="cost scale")
     stringency.add_argument("--m", type=float, required=True, help="cost exponent (> 1)")
     stringency.add_argument("--b", type=float, required=True, help="benefit slope")
-    stringency.add_argument("--tee-cost", default=None, help="flat full-stringency cost, if available")
+    stringency.add_argument("--tee-cost", type=_decimal, default=None, help="flat full-stringency cost, if available")
     stringency.add_argument("--json", action="store_true")
     stringency.set_defaults(func=_cmd_econ_stringency)
 
     table = econ_sub.add_parser("table", help="manual vs attested cost comparison")
-    table.add_argument("--c-a", dest="c_a", default="1.57")
-    table.add_argument("--c-j", dest="c_j", default="79")
-    table.add_argument("--alpha", default="0.08")
-    table.add_argument("--tee-cost-low", default="1.35")
-    table.add_argument("--tee-cost-high", default="1.80")
-    table.add_argument("--storage-low", default="0.05")
-    table.add_argument("--storage-high", default="0.30")
+    table.add_argument("--c-a", dest="c_a", type=_decimal, default="1.57")
+    table.add_argument("--c-j", dest="c_j", type=_decimal, default="79")
+    table.add_argument("--alpha", type=_decimal, default="0.08")
+    table.add_argument("--tee-cost-low", type=_decimal, default="1.35")
+    table.add_argument("--tee-cost-high", type=_decimal, default="1.80")
+    table.add_argument("--storage-low", type=_decimal, default="0.05")
+    table.add_argument("--storage-high", type=_decimal, default="0.30")
     table.add_argument("--json", action="store_true")
     table.set_defaults(func=_cmd_econ_table)
 

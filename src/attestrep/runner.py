@@ -7,6 +7,9 @@ copy, and declared outputs are digested while they are snapshotted after
 the run. The whole group is killed once the wait for the entrypoint ends,
 whether it exited, ran out of time or was interrupted, so no process it
 left in the background writes to the outputs during or after the snapshot.
+The wait watches the entrypoint's pidfd, so its exit is seen as it happens
+and ``wall_seconds`` is the entrypoint's own run time, not that plus a
+polling interval.
 Copy-on-run substitutes for VM/container isolation at desk scale; the data
 flow and proof binding are the same. A run's ``ExecutionRecord`` is the
 ``attestrep.bundle.ExecutionSummary`` a proof carries plus the two digests.
@@ -26,6 +29,7 @@ import contextlib
 import hashlib
 import logging
 import os
+import select
 import shutil
 import signal
 import stat
@@ -166,6 +170,30 @@ def _copy_regular(src: str, dst: str) -> None:
     shutil.copy2(src, dst)
 
 
+def _wait_for_exit(proc: subprocess.Popen, max_seconds: float) -> int:
+    """``proc``'s exit status, taken as it exits; ``subprocess.TimeoutExpired`` after ``max_seconds``.
+
+    ``Popen.wait(timeout)`` polls with sleeps that double up to 50 ms, which
+    would reach the run's ``wall_seconds``; the child's pidfd becomes readable
+    the moment it exits.
+    """
+    try:
+        pidfd = os.pidfd_open(proc.pid)
+    except (AttributeError, OSError):  # no pidfd on this system: Popen's polling wait
+        return proc.wait(timeout=max_seconds)
+    try:
+        poller = select.poll()
+        poller.register(pidfd, select.POLLIN)
+        deadline = time.monotonic() + max_seconds
+        # poll takes at most 2**31 - 1 ms, so a long limit is waited for a day at a time
+        while not poller.poll(min(max(deadline - time.monotonic(), 0.0), 86_400.0) * 1000):
+            if time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(proc.args, max_seconds)
+    finally:
+        os.close(pidfd)
+    return proc.wait()
+
+
 def execute(
     root: str | Path,
     manifest: PackageManifest,
@@ -220,7 +248,7 @@ def execute(
     with stdout_log.open("wb") as out_fh, stderr_log.open("wb") as err_fh:
         proc = subprocess.Popen(command, cwd=tree, env=env, stdout=out_fh, stderr=err_fh, start_new_session=True)
         try:
-            exit_status = proc.wait(timeout=max_seconds)
+            exit_status = _wait_for_exit(proc, max_seconds)
         except subprocess.TimeoutExpired:
             raise TimeLimitExceeded(max_seconds) from None
         finally:

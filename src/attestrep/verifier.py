@@ -7,13 +7,19 @@ the first failing check named, in a fixed order:
     parse -> chain -> validity -> quote signature -> binding -> bundle_id
           -> exit status
 
-A verdict is a pure function of (bytes, trust roots, now). The one state
-kept between calls is a bounded memo of chain signature outcomes: the root
-statement's self-signature and the endorsement's signature under its root
-key. Every bundle from one provider carries the same chain, so those two
-Ed25519 checks run once per process; the quote, which is new for every run,
-is checked on every call, as are trust-root membership, the validity window
-and the bindings. The clock is a parameter; nothing here reads wall time.
+A verdict is a pure function of (bytes, trust roots, now). The state kept
+between calls is two bounded memos, and no verdict is among it:
+
+- the chain memo here, of chain signature outcomes: the root statement's
+  self-signature and the endorsement's signature under its root key. Every
+  bundle from one provider carries the same chain, so those two Ed25519
+  checks run once per process;
+- the loaded public keys of ``attestation`` (``KEY_MEMO_SIZE``): a key's
+  bytes become a key object once, and every signature is still checked.
+
+The quote, which is new for every run, is checked on every call, as are
+trust-root membership, the validity window and the bindings. The clock is a
+parameter; nothing here reads wall time.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from attestrep.bundle import (
     parse_bundle,
     serialize_bundle,
 )
-from attestrep.canonical import canonical_json_bytes, sha256
+from attestrep.canonical import SchemaError, canonical_json_bytes, sha256
 from attestrep.package_model import PackageDigest
 from attestrep.verifier import NONZERO_EXIT, PARSE_ERROR, verify_bundle
 from conftest import NOW, PROVIDER_SEED, T0
@@ -276,3 +276,71 @@ def test_parse_inverts_serialize(bundle: ProofBundle) -> None:
 @given(_bundles)
 def test_bundle_id_read_off_the_bytes_is_the_computed_one(bundle: ProofBundle) -> None:
     assert canonical_bundle_id(serialize_bundle(bundle)) == bundle.computed_bundle_id()
+
+
+def _pop(node: dict, key: str) -> None:
+    del node[key]
+
+
+_QUOTE_KEYS = "['issued_at', 'measurement', 'provider_id', 'report_data', 'signature', 'signing_key_id', 'version']"
+_EXECUTION_KEYS = ("['exit_status', 'finished_at', 'nonce', 'started_at', 'stderr_log_digest', "
+                   "'stdout_log_digest', 'wall_seconds']")
+_ENDORSEMENT_KEYS = "['attestation_public_key', 'not_after', 'not_before', 'provider_id', 'signature', 'statement']"
+_BUNDLE_KEYS = "['bundle_id', 'chain', 'execution', 'format_version', 'output_digest', 'package_digest', 'quote']"
+
+
+# (field edited, edit, the Reject detail after "bundle parse error at byte 0: ")
+PARSE_ERROR_DETAILS = {
+    "quote.signature": (("quote", "signature"), _set("AB" * 64), "quote.signature: expected 64 bytes as lowercase hex"),
+    "chain.root_statement.signature": (
+        ("chain", "root_statement", "signature"), _set("00" * 63),
+        "chain.root_statement.signature: expected 64 bytes as lowercase hex",
+    ),
+    "chain.attestation_endorsement.not_after": (
+        ("chain", "attestation_endorsement", "not_after"), _set(-1),
+        "chain.attestation_endorsement.not_after: expected an integer >= 0",
+    ),
+    "chain.root_statement.statement": (
+        ("chain", "root_statement", "statement"), _set("x"),
+        "chain.root_statement.statement: expected 'vendor-root-v1'",
+    ),
+    "execution.wall_seconds": (("execution", "wall_seconds"), _set("1.5"),
+                               "execution.wall_seconds: expected a finite number >= 0"),
+    "quote.provider_id": (("quote", "provider_id"), _set(1), "quote.provider_id: expected a string of Unicode text"),
+    "package_digest.value": (("package_digest", "value"), _set(None),
+                             "package_digest.value: expected 32 bytes as lowercase hex"),
+    "execution-missing-nonce": (("execution", "nonce"), _pop, f"execution: expected exactly keys {_EXECUTION_KEYS}"),
+    "endorsement-missing-signature": (
+        ("chain", "attestation_endorsement", "signature"), _pop,
+        f"chain.attestation_endorsement: expected exactly keys {_ENDORSEMENT_KEYS}",
+    ),
+    "quote-not-an-object": (("quote",), _set([]), f"quote: expected exactly keys {_QUOTE_KEYS}"),
+    "bundle-extra-key": (("extra",), _set(1), f"ProofBundle: expected exactly keys {_BUNDLE_KEYS}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERROR_DETAILS))
+def test_parse_error_detail_names_the_field_at_fault(case: str) -> None:
+    path, edit, detail = PARSE_ERROR_DETAILS[case]
+    verdict = verify_bundle(_edited(path, edit), [_provider().root_public_key], now=NOW)
+    assert (verdict.reason, verdict.detail) == (PARSE_ERROR, f"bundle parse error at byte 0: {detail}")
+
+
+@pytest.mark.parametrize(
+    ("decode", "message"),
+    [
+        (lambda: RootStatement.from_dict({"statement": "x", "provider_id": "p", "root_public_key": "00" * 32,
+                                          "signature": "00" * 64}), "statement: expected 'vendor-root-v1'"),
+        (lambda: RootStatement.from_dict({}),
+         "RootStatement: expected exactly keys ['provider_id', 'root_public_key', 'signature', 'statement']"),
+        (lambda: PackageDigest.from_dict({"value": "zz", "file_count": 1, "total_bytes": 1}, "package_digest"),
+         "package_digest.value: expected 32 bytes as lowercase hex"),
+        (lambda: PackageDigest.from_dict([], "package_digest"),
+         "package_digest: expected exactly keys ['file_count', 'total_bytes', 'value']"),
+    ],
+    ids=["tag-at-top", "keys-at-top", "field-under-where", "keys-under-where"],
+)
+def test_schema_error_names_the_field_outside_a_bundle(decode, message: str) -> None:
+    with pytest.raises(SchemaError) as caught:
+        decode()
+    assert str(caught.value) == message

@@ -3,7 +3,8 @@
 Every bundle one provider issues carries the same endorsement chain, so the
 root self-signature and the endorsement signature are checked once per
 process; the quote and every check against ``roots`` and ``now`` run on
-every call.
+every call. Public keys are loaded once each, and a loaded key still checks
+every signature it is given.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestrep import attestation, verifier
-from attestrep.attestation import AttestationEndorsement, AttestationProvider, ProviderConfig
+from attestrep.attestation import (
+    KEY_MEMO_SIZE,
+    AttestationEndorsement,
+    AttestationProvider,
+    ProviderConfig,
+    key_fingerprint,
+)
 from attestrep.bundle import build_bundle, serialize_bundle
 from attestrep.canonical import canonical_json_bytes, sha256
 from attestrep.verifier import (
@@ -37,7 +44,7 @@ _MEMOS = (verifier._root_statement_valid, verifier._endorsement_valid)
 
 
 def _clear() -> None:
-    for memo in _MEMOS:
+    for memo in _MEMOS + (attestation._public_key,):
         memo.cache_clear()
 
 
@@ -103,6 +110,36 @@ def test_quote_is_checked_on_every_call() -> None:
         assert verify_bundle(forged, ROOTS, now=NOW).reason == QUOTE_SIGNATURE_INVALID
 
 
+def test_a_loaded_key_still_refuses_a_flipped_quote_signature() -> None:
+    _clear()
+    forged = _edited(VALID, _flip_signature("quote"))
+    for _ in range(3):
+        assert verify_bundle(VALID, ROOTS, now=NOW).accepted
+        assert verify_bundle(forged, ROOTS, now=NOW).reason == QUOTE_SIGNATURE_INVALID
+    keys = attestation._public_key.cache_info()
+    assert keys.currsize == 2 and keys.hits >= 5  # the key was loaded once and used for the forged quotes too
+
+
+def _endorsing(key: bytes):
+    """An edit that has PROVIDER's root endorse ``key`` and names it as the quote's signing key."""
+    def mutate(obj: dict) -> None:
+        endorsement = AttestationEndorsement.from_dict(obj["chain"]["attestation_endorsement"])
+        endorsement = endorsement.replace(attestation_public_key=key)
+        signature = Ed25519PrivateKey.from_private_bytes(PROVIDER_SEED).sign(endorsement.canonical_body())
+        obj["chain"]["attestation_endorsement"] = endorsement.replace(signature=signature).to_dict()
+        obj["quote"]["signing_key_id"] = key_fingerprint(key).hex()
+
+    return mutate
+
+
+@pytest.mark.parametrize("key", [b"\xff" * 32, b"\x00" * 32, b"\x02" + b"\x00" * 31], ids=["ff", "zero", "small"])
+def test_a_32_byte_key_that_is_no_point_is_a_reject(key: bytes) -> None:
+    data = _edited(VALID, _endorsing(key))
+    _clear()
+    for _ in range(2):  # cold, then with whatever the first call kept
+        assert verify_bundle(data, ROOTS, now=NOW).reason == QUOTE_SIGNATURE_INVALID
+
+
 @pytest.mark.parametrize(
     ("roots", "now", "reason"),
     [
@@ -166,6 +203,8 @@ def test_memo_stays_within_its_bound() -> None:
     for memo in _MEMOS:
         info = memo.cache_info()
         assert info.maxsize == CHAIN_MEMO_SIZE and info.currsize == CHAIN_MEMO_SIZE
+    keys = attestation._public_key.cache_info()  # a root and an attestation key per provider
+    assert keys.maxsize == KEY_MEMO_SIZE and keys.currsize == KEY_MEMO_SIZE
 
 
 def test_threads_get_the_serial_verdicts() -> None:

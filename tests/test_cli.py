@@ -210,6 +210,26 @@ def test_econ_table_text_and_json(capsys) -> None:
     assert payload["adoption"]["adopts"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["econ", "stringency", "--k", "1", "--m", "2", "--b", "1", "--tee-cost", "abc"],
+        ["econ", "stringency", "--k", "1", "--m", "2", "--b", "1", "--tee-cost", "nan"],
+        ["econ", "adopt", "--c-j", "1", "--alpha", "0.1", "--c-a", "abc"],
+        ["econ", "adopt", "--c-a", "1", "--alpha", "0.1", "--c-j", "Infinity"],
+        ["econ", "table", "--tee-cost-low", "NaN"],
+        ["econ", "table", "--storage-high", "sNaN"],
+    ],
+    ids=["stringency-abc", "stringency-nan", "adopt-abc", "adopt-infinity", "table-nan", "table-snan"],
+)
+def test_econ_decimal_options_refuse_non_finite_text(argv: list[str], capsys) -> None:
+    # the option at fault is the last one given
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {argv[-2]}: expected a finite decimal number, got {argv[-1]!r}" in capsys.readouterr().err
+
+
 def test_report_bundled_fixture(capsys) -> None:
     assert main(["report", "--json"]) == 0
     payload = _json_out(capsys)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import statistics
 import subprocess
 import time
 from pathlib import Path
@@ -94,18 +95,41 @@ def test_interrupted_wait_kills_the_group(tmp_path: Path, monkeypatch) -> None:
     # the run has its own session, so a Ctrl-C at the terminal reaches only the caller
     marker = tmp_path / "marker"
     package = make_package(tmp_path / "pkg", script=_leaves_a_late_writer(marker, "sleep 10"))
-    wait = subprocess.Popen.wait
 
-    def interrupted(self, timeout=None):
-        if timeout is not None:
-            raise KeyboardInterrupt
-        return wait(self)
+    def interrupted(proc, max_seconds):
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(subprocess.Popen, "wait", interrupted)
+    monkeypatch.setattr(runner, "_wait_for_exit", interrupted)
     with pytest.raises(KeyboardInterrupt):
         execute(package, load_manifest(package), tmp_path / "work")
     time.sleep(1.5)
     assert not marker.exists()
+
+
+def test_the_exit_is_noticed_as_it_happens(tmp_path: Path, monkeypatch) -> None:
+    # Popen.wait(timeout) notices an exit only at its next poll, up to 50 ms late
+    timeouts = []
+    wait = subprocess.Popen.wait
+
+    def recorded(self, timeout=None):
+        timeouts.append(timeout)
+        return wait(self, timeout)
+
+    monkeypatch.setattr(subprocess.Popen, "wait", recorded)
+    script = "#!/bin/sh\nsleep 0.03\nmkdir -p results\necho 42 > results/answer.txt\n"
+    package = make_package(tmp_path / "pkg", script=script)
+    walls = [execute(package, load_manifest(package), tmp_path / f"work{i}").wall_seconds for i in range(5)]
+    assert timeouts and set(timeouts) == {None}  # only the reaps, after the exit was seen
+    assert 0.03 <= statistics.median(walls) < 0.03 + 0.05
+
+
+def test_time_limit_is_kept_by_the_exit_wait(tmp_path: Path) -> None:
+    package = make_package(tmp_path / "pkg", script="#!/bin/sh\nsleep 10\n")
+    for limit in (0.2, 0.0, -1.0):
+        start = time.monotonic()
+        with pytest.raises(TimeLimitExceeded):
+            execute(package, load_manifest(package), tmp_path / "work", max_seconds=limit)
+        assert time.monotonic() - start < 5
 
 
 def test_entrypoint_missing(tmp_path: Path) -> None:
