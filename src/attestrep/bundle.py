@@ -14,19 +14,23 @@ neither.
 
 Bundles serialize to canonical JSON (``.arproof`` files); bundle_id is the
 SHA-256 of the canonical body (every field but bundle_id) and doubles as
-the portal's verification token. Parsing is the field tables of
-``attestrep.canonical`` plus one rule: the input must be exactly the
-canonical serialization of what it parsed to.
+the portal's verification token. Parsing is one match of the bytes against
+the bundle's canonical template (``attestrep.canonical.Template``, with
+``format_version`` the literal 1): the input must be exactly the canonical
+serialization of what it parses to. Bytes the template refuses are always
+rejected; they are decoded strictly (``json.loads``, the version check,
+``from_dict``) only to name the fault.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import TYPE_CHECKING
 
 from attestrep import AttestrepError
 from attestrep.attestation import AttestationProvider, AttestationQuote, EndorsementChain
-from attestrep.canonical import SchemaError, Wire, canonical_json_bytes, sha256, wire
+from attestrep.canonical import SchemaError, Template, Wire, canonical_json_bytes, sha256, wire
 
 if TYPE_CHECKING:  # the reader path never loads the runner
     from attestrep.runner import ExecutionRecord
@@ -161,13 +165,26 @@ def serialize_bundle(bundle: ProofBundle) -> bytes:
     return canonical_json_bytes(bundle.to_dict())
 
 
+@functools.cache
+def _template() -> Template:
+    """The bundle's canonical template, compiled at the first parse, not at import."""
+    return Template(ProofBundle, format_version=FORMAT_VERSION)
+
+
 def parse_bundle(data: bytes) -> ProofBundle:
     """Parse canonical ``.arproof`` bytes back into a ProofBundle.
 
     Strict: unknown or missing keys, malformed fields, non-finite numbers,
     and any non-canonical encoding are rejected, so parse(serialize(b)) == b
-    and serialize(parse(data)) == data both hold.
+    and serialize(parse(data)) == data both hold. Only the template accepts;
+    the strict decoding below runs on bytes it refused, to name the fault.
     """
+    try:
+        bundle = _template().read(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        bundle = None
+    if bundle is not None:
+        return bundle
     try:
         top = json.loads(data.decode("utf-8"))
     except RecursionError:
@@ -179,10 +196,8 @@ def parse_bundle(data: bytes) -> ProofBundle:
     if top.get("format_version") != FORMAT_VERSION:
         raise VersionUnsupported(top.get("format_version"))
     try:
-        bundle = ProofBundle.from_dict(top)
+        ProofBundle.from_dict(top)
     except SchemaError as exc:
         raise BundleParseError(0, str(exc)) from exc
-    # from_dict accepts each value only in the form to_dict writes, so this is serialize_bundle(bundle)
-    if canonical_json_bytes(top) != data:
-        raise BundleParseError(0, "input is not the canonical serialization of its contents")
-    return bundle
+    # every field is valid, so what the template refused is the encoding itself
+    raise BundleParseError(0, "input is not the canonical serialization of its contents")

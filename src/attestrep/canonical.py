@@ -1,4 +1,4 @@
-"""Canonical JSON, and the one field table per wire structure that maps to it.
+r"""Canonical JSON, and the one field table per wire structure that maps to it.
 
 One encoding rule for everything that gets hashed or signed: UTF-8 JSON,
 object keys sorted ascending by byte order, no insignificant whitespace,
@@ -17,6 +17,23 @@ one encode/decode pair every structure uses, ``to_dict`` and ``from_dict``.
 A field that fails to decode is named by its dotted path, which is put
 together only as the ``SchemaError`` passes up; a field that decodes builds
 no location text.
+
+The same table gives a structure its canonical template (``Template``): one
+regular expression that matches exactly the bytes the encoder writes for
+some valid value of the structure, each key a literal in sorted order and
+each field the one token form its kind has in canonical text:
+
+- bytes: ``"`` then lowercase hex of the stated length, then ``"``;
+- int: ``0|-?[1-9][0-9]*``, with no sign where the minimum is 0;
+- float: the int form, or the ``float.__repr__`` of a finite float
+  (``1.5``, ``1e-05``, ``1.5e+16``, ``-0.0``), checked after the match;
+- str: any character but ``"``, ``\`` and U+0000-U+001F, or one of the
+  escapes ``\"`` ``\\`` ``\b`` ``\f`` ``\n`` ``\r`` ``\t``, or ``\u00XX``
+  in lowercase hex for any other control character; nothing else is escaped.
+
+Text the template matches is read straight into records from its groups,
+with no JSON decoding and no re-encoding. A structure with a ``dict`` field
+has no template.
 """
 
 from __future__ import annotations
@@ -25,7 +42,10 @@ import builtins
 import hashlib
 import json
 import math
+import re
 import sys
+from json.decoder import scanstring
+from operator import itemgetter
 from typing import Any, ClassVar
 
 
@@ -185,3 +205,108 @@ class Wire:
         except SchemaError as exc:
             exc.path[:0] = [step for step in (where, name) if step]
             raise
+
+
+# The token forms of the module docstring, each as one group. ``_STR`` is unrolled
+# (plain runs between escapes): one alternation per character keeps match state per
+# character, about 540 MiB for a 4 MB string. ``_NUMBER`` also takes forms that
+# ``float.__repr__`` never writes (``01.5``); ``_read_number`` refuses them.
+_STR = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\bfnrt]|u00(?:0[0-7bef]|1[0-9a-f]))[^"\\\x00-\x1f]*)*)"'
+_INT = r"(0|-?[1-9][0-9]*)"
+_NATURAL = r"(0|[1-9][0-9]*)"
+_NUMBER = r"(0|-?[1-9][0-9]*|-?[0-9]+(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+))"
+
+
+def _read_str(text: str) -> str:
+    return text if "\\" not in text else scanstring(text + '"', 0)[0]
+
+
+def _read_number(text: str) -> int | float:
+    if "." not in text and "e" not in text:
+        return int(text)
+    value = float(text)
+    if float.__repr__(value) != text:  # also refuses what overflows to inf
+        raise ValueError(f"{text} is not the canonical form of a float")
+    return value
+
+
+def _token(kind: type, hex_size: int | None, minimum: int | None):
+    """The pattern of a field's canonical token and the reader of its group, which raises ``ValueError``."""
+    if kind is bytes:
+        return f'"([0-9a-f]{{{2 * hex_size}}})"', bytes.fromhex
+    if kind is str:
+        return _STR, _read_str
+    if kind not in (int, float):
+        raise TypeError(f"a {kind.__name__} field has no canonical template")
+    if kind is int and minimum == 0:
+        return _NATURAL, int  # the pattern keeps the bound: no sign
+    pattern, read = (_INT, int) if kind is int else (_NUMBER, _read_number)
+    if minimum is None:
+        return pattern, read
+
+    def read_at_least(text: str) -> int | float:
+        value = read(text)
+        if value < minimum:
+            raise ValueError(f"{value} < {minimum}")
+        return value
+    return pattern, read_at_least
+
+
+def _picker(slots: list[int]):
+    """``values -> (values[slot] for slot in slots)`` as a tuple; ``itemgetter`` returns a bare item for one slot."""
+    return itemgetter(*slots) if len(slots) > 1 else lambda values: (values[slots[0]],)
+
+
+class Template:
+    """The canonical encoding of one ``Wire`` structure as one regular expression.
+
+    Built from the field table: each key a literal in sorted order, each tag
+    and each ``fixed`` top-level field its constant, each other field the one
+    token form the encoder writes for its kind, a nested structure its own
+    template. A structure with a ``dict`` field has none. ``read`` fills the
+    records straight from the groups, so text the template matches is never
+    decoded as JSON or encoded again.
+    """
+
+    def __init__(self, cls: type[Wire], **fixed: Any) -> None:
+        self._readers: list = []  # one per group, in text order
+        steps: list = []  # (structure, its fields' slots in constructor order), innermost first
+        self._match = re.compile(self._pattern(cls, fixed, steps)).fullmatch
+        groups = len(self._readers)  # the values list holds every group's value, then each structure built
+        self._steps = tuple((kind, kind.FIELDS, _picker([slot if slot >= 0 else groups + ~slot for slot in slots]))
+                            for kind, slots in steps)
+
+    def _pattern(self, cls: type[Wire], fixed: dict, steps: list) -> str:
+        rows = {row[0]: row for row in cls._rows}
+        slots, parts = {}, []
+        for key in sorted(cls._keys):
+            if key in cls.TAGS:
+                token = re.escape(_ENCODER.encode(cls.TAGS[key]))
+            elif issubclass(rows[key][1], Wire):
+                token = self._pattern(rows[key][1], {}, steps)
+                slots[key] = ~(len(steps) - 1)  # ~k: the k-th structure built, placed after the groups
+            else:
+                token, read = _token(*rows[key][1:4])
+                if key in fixed:
+                    token = f"({re.escape(_ENCODER.encode(fixed[key]))})"
+                slots[key] = len(self._readers)
+                self._readers.append(read)
+            parts.append(re.escape(_ENCODER.encode(key)) + ":" + token)
+        steps.append((cls, [slots[name] for name in cls.FIELDS]))
+        return r"\{" + ",".join(parts) + r"\}"
+
+    def read(self, text: str):
+        """The structure whose canonical encoding is exactly ``text``, or None."""
+        match = self._match(text)
+        if match is None:
+            return None
+        try:
+            values = [read(group) for read, group in zip(self._readers, match.groups())]
+        except ValueError:  # a token of the right form but no canonical value, or an integer over the digit limit
+            return None
+        for cls, names, pick in self._steps:
+            out = object.__new__(cls)  # filled in constructor order, so equal records hash alike
+            out.__dict__.update(zip(names, pick(values)))
+            values.append(out)
+        return values[-1]
+

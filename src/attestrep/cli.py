@@ -13,12 +13,18 @@ the environment.
 Each command imports what it runs when it runs: ``verify`` loads the
 verifier, never the runner, the portal, the archive reader or HTTP code,
 and without ``--archive-dir`` not ``package_model`` or ``pathlib`` either.
+Only the named command's parser is built; help, a missing command and an
+unknown one get every command's.
+
+Float options are finite (``econ``) or seconds >= 0 (``--max-seconds``);
+any other text, ``nan`` included, is a usage error before anything runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -50,6 +56,24 @@ def _decimal(text: str):
     if value is None or not value.is_finite():
         raise argparse.ArgumentTypeError(f"expected a finite decimal number, got {text!r}")
     return value
+
+
+def _float_option(accepts, wanted: str):
+    """An argparse type for a float that ``accepts`` takes; ``wanted`` names such a value in the error."""
+    def convert(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return convert
+
+
+_finite = _float_option(math.isfinite, "a finite number")
+_seconds = _float_option(lambda value: value >= 0, "a number of seconds >= 0")  # NaN compares false: refused
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -288,32 +312,36 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="attestrep", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_pack(sub) -> None:
     pack = sub.add_parser("pack", help="archive a package directory")
     pack.add_argument("directory")
     pack.add_argument("-o", "--output", required=True)
     pack.set_defaults(func=_cmd_pack)
 
-    def add_run_arguments(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("directory")
-        cmd.add_argument("--max-seconds", type=float, default=3600.0)
-        cmd.add_argument("--work-dir", default=None)
-        cmd.add_argument("--json", action="store_true")
 
+def _add_run_arguments(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("directory")
+    cmd.add_argument("--max-seconds", type=_seconds, default=3600.0)
+    cmd.add_argument("--work-dir", default=None)
+    cmd.add_argument("--json", action="store_true")
+
+
+def _add_run(sub) -> None:
     run = sub.add_parser("run", help="execute a package and print the run record")
-    add_run_arguments(run)
+    _add_run_arguments(run)
     run.set_defaults(func=_cmd_run)
 
+
+def _add_attest(sub) -> None:
     attest = sub.add_parser("attest", help="execute a package and write a proof bundle")
-    add_run_arguments(attest)
+    _add_run_arguments(attest)
     attest.add_argument("-o", "--output", required=True)
     attest.add_argument("--provider-seed", type=_hex_bytes(32), default=None)
     attest.add_argument("--validity", type=int, default=None)
     attest.set_defaults(func=_cmd_attest)
 
+
+def _add_verify(sub) -> None:
     verify = sub.add_parser("verify", help="verify a proof bundle")
     verify.add_argument("bundle")
     verify.add_argument("--root", action="append", type=_hex_bytes(32), default=[])
@@ -323,12 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
+
+def _add_submit(sub) -> None:
     submit = sub.add_parser("submit", help="submit an archive to a portal")
     submit.add_argument("archive")
     submit.add_argument("--portal", required=True)
     submit.add_argument("--author", default="anonymous")
     submit.set_defaults(func=_cmd_submit)
 
+
+def _add_portal(sub) -> None:
     portal = sub.add_parser("portal", help="portal operations")
     portal_sub = portal.add_subparsers(dest="portal_command", required=True)
     serve = portal_sub.add_parser("serve", help="run the portal HTTP server")
@@ -337,15 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--provider-seed", type=_hex_bytes(32), default=None)
     serve.set_defaults(func=_cmd_portal_serve)
 
+
+def _add_econ(sub) -> None:
     econ = sub.add_parser("econ", help="incentive and adoption calculators")
     econ_sub = econ.add_subparsers(dest="econ_command", required=True)
 
     comply = econ_sub.add_parser("comply", help="author compliance condition")
-    comply.add_argument("--b", type=float, required=True, help="publication value B")
-    comply.add_argument("--s", type=float, required=True, help="sanction S")
-    comply.add_argument("--p", type=float, default=1.0, help="scrutiny probability")
-    comply.add_argument("--pi", type=float, default=1.0, help="catch probability given scrutiny")
-    comply.add_argument("--epsilon", type=float, default=0.0, help="exploit probability")
+    comply.add_argument("--b", type=_finite, required=True, help="publication value B")
+    comply.add_argument("--s", type=_finite, required=True, help="sanction S")
+    comply.add_argument("--p", type=_finite, default=1.0, help="scrutiny probability")
+    comply.add_argument("--pi", type=_finite, default=1.0, help="catch probability given scrutiny")
+    comply.add_argument("--epsilon", type=_finite, default=0.0, help="exploit probability")
     comply.add_argument("--json", action="store_true")
     comply.set_defaults(func=_cmd_econ_comply)
 
@@ -357,9 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     adopt.set_defaults(func=_cmd_econ_adopt)
 
     stringency = econ_sub.add_parser("stringency", help="verification stringency optimum")
-    stringency.add_argument("--k", type=float, required=True, help="cost scale")
-    stringency.add_argument("--m", type=float, required=True, help="cost exponent (> 1)")
-    stringency.add_argument("--b", type=float, required=True, help="benefit slope")
+    stringency.add_argument("--k", type=_finite, required=True, help="cost scale")
+    stringency.add_argument("--m", type=_finite, required=True, help="cost exponent (> 1)")
+    stringency.add_argument("--b", type=_finite, required=True, help="benefit slope")
     stringency.add_argument("--tee-cost", type=_decimal, default=None, help="flat full-stringency cost, if available")
     stringency.add_argument("--json", action="store_true")
     stringency.set_defaults(func=_cmd_econ_stringency)
@@ -375,16 +409,34 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--json", action="store_true")
     table.set_defaults(func=_cmd_econ_table)
 
+
+def _add_report(sub) -> None:
     report = sub.add_parser("report", help="aggregate trial records")
     report.add_argument("--csv", default=None, help="trial CSV (default: bundled fixture)")
     report.add_argument("--json", action="store_true")
     report.set_defaults(func=_cmd_report)
 
+
+_COMMANDS = {"pack": _add_pack, "run": _add_run, "attest": _add_attest, "verify": _add_verify, "submit": _add_submit,
+            "portal": _add_portal, "econ": _add_econ, "report": _add_report}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of the command ``argv`` names, and of no other.
+
+    Help, a missing command and an unknown one get every command's parser,
+    so the usage and the error list them all.
+    """
+    parser = argparse.ArgumentParser(prog="attestrep", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS:
+        _COMMANDS[name](sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

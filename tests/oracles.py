@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import os
 from fractions import Fraction
 
@@ -72,3 +73,68 @@ def spreadsheet_aggregate(csv_bytes: bytes) -> dict:
     if all_runtimes:
         out["overall_runtime_mean_hours"] = sum(all_runtimes) / len(all_runtimes)
     return out
+
+
+_HEX32, _HEX64 = ("hex", 32), ("hex", 64)
+_DIGEST = {"value": _HEX32, "file_count": "nat", "total_bytes": "nat"}
+# every key of a proof bundle and what its value must be; written from the README's table
+BUNDLE_SHAPE = {
+    "format_version": ("const", 1),
+    "bundle_id": _HEX32,
+    "package_digest": _DIGEST,
+    "output_digest": _DIGEST,
+    "execution": {
+        "exit_status": "int", "wall_seconds": "number", "started_at": "nat", "finished_at": "nat",
+        "stdout_log_digest": _HEX32, "stderr_log_digest": _HEX32, "nonce": _HEX32,
+    },
+    "quote": {
+        "version": "int", "provider_id": "text", "measurement": _HEX32, "report_data": _HEX64,
+        "issued_at": "nat", "signature": _HEX64, "signing_key_id": _HEX32,
+    },
+    "chain": {
+        "root_statement": {
+            "statement": ("const", "vendor-root-v1"), "provider_id": "text",
+            "root_public_key": _HEX32, "signature": _HEX64,
+        },
+        "attestation_endorsement": {
+            "statement": ("const", "attestation-key-endorsement-v1"), "provider_id": "text",
+            "attestation_public_key": _HEX32, "not_before": "nat", "not_after": "nat", "signature": _HEX64,
+        },
+    },
+}
+
+
+def _fits(value, shape) -> bool:
+    if isinstance(shape, dict):
+        return type(value) is dict and set(value) == set(shape) and all(_fits(value[k], s) for k, s in shape.items())
+    if shape == "text":
+        return type(value) is str
+    if shape in ("int", "nat"):
+        return type(value) is int and (shape == "int" or value >= 0)
+    if shape == "number":  # finite: inf - inf and nan - nan are nan, which is not 0
+        return type(value) in (int, float) and value - value == 0 and value >= 0
+    kind, arg = shape
+    if kind == "const":
+        return type(value) is type(arg) and value == arg
+    return type(value) is str and len(value) == 2 * arg and all(c in "0123456789abcdef" for c in value)
+
+
+def naive_bundle_read(data: bytes) -> dict | None:
+    """The JSON object of a canonical proof bundle, or None for any other bytes.
+
+    Decode the bytes as strict UTF-8 and parse them as JSON; require exactly
+    the keys of ``BUNDLE_SHAPE`` with values of the stated types; then require
+    the bytes to equal ``json.dumps`` of the object with sorted keys, no
+    whitespace and no ASCII escaping, encoded as UTF-8.
+    """
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    if not _fits(obj, BUNDLE_SHAPE):
+        return None
+    try:
+        again = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+        return obj if again.encode("utf-8") == data else None
+    except UnicodeEncodeError:  # a lone surrogate from a \u escape has no UTF-8 form
+        return None

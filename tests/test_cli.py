@@ -230,6 +230,64 @@ def test_econ_decimal_options_refuse_non_finite_text(argv: list[str], capsys) ->
     assert f"argument {argv[-2]}: expected a finite decimal number, got {argv[-1]!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "option", "text"),
+    [
+        (["econ", "comply", "--s", "1"], "--b", "nan"),
+        (["econ", "comply", "--b", "1"], "--s", "inf"),
+        (["econ", "comply", "--b", "1", "--s", "1"], "--p", "-inf"),
+        (["econ", "comply", "--b", "1", "--s", "1"], "--pi", "NaN"),
+        (["econ", "comply", "--b", "1", "--s", "1"], "--epsilon", "abc"),
+        (["econ", "stringency", "--m", "2", "--b", "1"], "--k", "nan"),
+        (["econ", "stringency", "--k", "1", "--b", "1"], "--m", "infinity"),
+        (["econ", "stringency", "--k", "1", "--m", "2"], "--b", "-Infinity"),
+    ],
+    ids=["comply-b-nan", "comply-s-inf", "comply-p--inf", "comply-pi-nan", "comply-epsilon-abc", "stringency-k-nan",
+         "stringency-m-infinity", "stringency-b--infinity"],
+)
+def test_econ_float_options_refuse_non_finite_text(argv: list[str], option: str, text: str, capsys) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, f"{option}={text}"])  # "=": argparse takes a bare "-inf" for an option
+    assert excinfo.value.code == 2
+    assert f"argument {option}: expected a finite number, got {text!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "attest"])
+@pytest.mark.parametrize("seconds", ["nan", "-1", "-inf", "soon"])
+def test_max_seconds_is_refused_before_anything_runs(command: str, seconds: str, answer42: Path, tmp_path: Path,
+                                                     capsys) -> None:
+    work = tmp_path / "work"
+    argv = [command, str(answer42), "--work-dir", str(work), f"--max-seconds={seconds}"]
+    if command == "attest":
+        argv += ["-o", str(tmp_path / "p.arproof")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument --max-seconds: expected a number of seconds >= 0, got {seconds!r}" in capsys.readouterr().err
+    assert not work.exists() and not (tmp_path / "p.arproof").exists()
+
+
+_EVERY_COMMAND = "{pack,run,attest,verify,submit,portal,econ,report}"
+
+
+@pytest.mark.parametrize(("argv", "code"), [(["--help"], 0), (["-h", "verify"], 0), ([], 2), (["bogus"], 2)],
+                         ids=["help", "help-before-a-command", "no-command", "unknown-command"])
+def test_help_and_usage_errors_list_every_command(argv: list[str], code: int, capsys) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == code
+    captured = capsys.readouterr()
+    assert f"usage: attestrep [-h] {_EVERY_COMMAND}" in (captured.out if code == 0 else captured.err)
+
+
+@pytest.mark.parametrize("command", [["verify"], ["econ"], ["econ", "comply"], ["portal", "serve"]])
+def test_a_command_has_its_own_help(command: list[str], capsys) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: attestrep {' '.join(command)} [-h]")
+
+
 def test_report_bundled_fixture(capsys) -> None:
     assert main(["report", "--json"]) == 0
     payload = _json_out(capsys)
