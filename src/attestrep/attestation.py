@@ -125,10 +125,17 @@ class AttestationQuote(_Signed):
     signature: bytes = wire(hex_size=SIGNATURE_SIZE, signed=False)
     signing_key_id: bytes = wire(hex_size=KEY_ID_SIZE, signed=False)
 
-    def verify_signature(self, attestation_public_key: bytes) -> bool:
-        if self.signing_key_id != key_fingerprint(attestation_public_key):
+    @classmethod
+    def verify_signature(cls, attestation_public_key: bytes, signing_key_id: bytes, signature: bytes,
+                         body: bytes) -> bool:
+        """Whether a quote whose signed part is ``body`` was signed by ``attestation_public_key`` and names it.
+
+        Takes the quote's parts rather than a record, so a verifier can pass
+        them straight from the bytes it matched.
+        """
+        if signing_key_id != key_fingerprint(attestation_public_key):
             return False
-        return _verify_ed25519(attestation_public_key, self.signature, self.canonical_body())
+        return _verify_ed25519(attestation_public_key, signature, body)
 
 
 class RootStatement(_Signed):

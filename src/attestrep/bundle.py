@@ -17,15 +17,21 @@ SHA-256 of the canonical body (every field but bundle_id) and doubles as
 the portal's verification token. Parsing is one match of the bytes against
 the bundle's canonical template (``attestrep.canonical.Template``, with
 ``format_version`` the literal 1): the input must be exactly the canonical
-serialization of what it parses to. Bytes the template refuses are always
-rejected; they are decoded strictly (``json.loads``, the version check,
-``from_dict``) only to name the fault.
+serialization of what it parses to. The match has a named group per field
+and per nested structure (``quote__signature``, ``chain``), from which the
+verifier reads what it checks and ``parse_bundle`` builds the records. A
+signed body is cut from the matched text: the structure's text without its
+unsigned members, so the body ``bundle_id`` hashes is the input without
+``bundle_id``. Bytes the template refuses are always rejected; they are
+decoded strictly (``json.loads``, the version check, ``from_dict``) only to
+name the fault.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 from typing import TYPE_CHECKING
 
 from attestrep import AttestrepError
@@ -39,8 +45,6 @@ FORMAT_VERSION = 1
 
 _IMAGE_DOMAIN = b"attestrep-image-v1"
 _ZERO_TAIL = b"\x00" * 32
-# canonical bundle bytes open with '{"bundle_id":"<64 hex>",': the key sorts first
-_BODY_START = len('{"bundle_id":"') + 64 + len('",')
 
 
 class BundleError(AttestrepError):
@@ -126,15 +130,6 @@ class ProofBundle(Wire):
         return self.bundle_id.hex()
 
 
-def canonical_bundle_id(data: bytes) -> bytes:
-    """``parse_bundle(data).computed_bundle_id()``, from the bytes ``parse_bundle`` accepted.
-
-    The canonical body without ``bundle_id`` is ``{`` and the rest of ``data``
-    after that first member, so nothing is encoded again.
-    """
-    return sha256(b"{" + data[_BODY_START:])
-
-
 def build_bundle(
     record: ExecutionRecord,
     provider: AttestationProvider,
@@ -166,9 +161,22 @@ def serialize_bundle(bundle: ProofBundle) -> bytes:
 
 
 @functools.cache
-def _template() -> Template:
-    """The bundle's canonical template, compiled at the first parse, not at import."""
+def bundle_template() -> Template:
+    """The bundle's canonical template, compiled at the first parse or verify, not at import."""
     return Template(ProofBundle, format_version=FORMAT_VERSION)
+
+
+def match_bundle(data: bytes) -> re.Match | None:
+    """The template's match of ``data`` if it is the canonical serialization of a bundle, else None."""
+    try:
+        return bundle_template().match(data.decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
+
+
+def canonical_bundle_id(match: re.Match) -> bytes:
+    """``parse_bundle(data).computed_bundle_id()``, from the match of ``data``: nothing is encoded again."""
+    return sha256(bundle_template().signed_body(match))
 
 
 def parse_bundle(data: bytes) -> ProofBundle:
@@ -179,12 +187,9 @@ def parse_bundle(data: bytes) -> ProofBundle:
     and serialize(parse(data)) == data both hold. Only the template accepts;
     the strict decoding below runs on bytes it refused, to name the fault.
     """
-    try:
-        bundle = _template().read(data.decode("utf-8"))
-    except UnicodeDecodeError:
-        bundle = None
-    if bundle is not None:
-        return bundle
+    match = match_bundle(data)
+    if match is not None:
+        return bundle_template().records(match)
     try:
         top = json.loads(data.decode("utf-8"))
     except RecursionError:

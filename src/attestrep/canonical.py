@@ -31,9 +31,13 @@ each field the one token form its kind has in canonical text:
   escapes ``\"`` ``\\`` ``\b`` ``\f`` ``\n`` ``\r`` ``\t``, or ``\u00XX``
   in lowercase hex for any other control character; nothing else is escaped.
 
-Text the template matches is read straight into records from its groups,
-with no JSON decoding and no re-encoding. A structure with a ``dict`` field
-has no template.
+Each field token and each nested structure is a named group, named by its
+dotted path with ``__`` for the dot. Text the template matches is read from
+its groups, into records or field by field, with no JSON decoding and no
+re-encoding. The signed body of a matched structure is its text with its
+unsigned members (``wire(signed=False)``) cut out, each with the comma that
+joined it: that is the canonical encoding of ``to_dict(signed_only=True)``.
+A structure with a ``dict`` field has no template.
 """
 
 from __future__ import annotations
@@ -207,14 +211,14 @@ class Wire:
             raise
 
 
-# The token forms of the module docstring, each as one group. ``_STR`` is unrolled
+# The token forms of the module docstring, without their group. ``_STR`` is unrolled
 # (plain runs between escapes): one alternation per character keeps match state per
 # character, about 540 MiB for a 4 MB string. ``_NUMBER`` also takes forms that
 # ``float.__repr__`` never writes (``01.5``); ``_read_number`` refuses them.
-_STR = r'"([^"\\\x00-\x1f]*(?:\\(?:["\\bfnrt]|u00(?:0[0-7bef]|1[0-9a-f]))[^"\\\x00-\x1f]*)*)"'
-_INT = r"(0|-?[1-9][0-9]*)"
-_NATURAL = r"(0|[1-9][0-9]*)"
-_NUMBER = r"(0|-?[1-9][0-9]*|-?[0-9]+(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+))"
+_STR = r'[^"\\\x00-\x1f]*(?:\\(?:["\\bfnrt]|u00(?:0[0-7bef]|1[0-9a-f]))[^"\\\x00-\x1f]*)*'
+_INT = r"0|-?[1-9][0-9]*"
+_NATURAL = r"0|[1-9][0-9]*"
+_NUMBER = r"0|-?[1-9][0-9]*|-?[0-9]+(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+)"
 
 
 def _read_str(text: str) -> str:
@@ -231,9 +235,9 @@ def _read_number(text: str) -> int | float:
 
 
 def _token(kind: type, hex_size: int | None, minimum: int | None):
-    """The pattern of a field's canonical token and the reader of its group, which raises ``ValueError``."""
+    """The pattern of a field's canonical token, inside its quotes, and the reader of it, which raises ``ValueError``."""
     if kind is bytes:
-        return f'"([0-9a-f]{{{2 * hex_size}}})"', bytes.fromhex
+        return f"[0-9a-f]{{{2 * hex_size}}}", bytes.fromhex
     if kind is str:
         return _STR, _read_str
     if kind not in (int, float):
@@ -252,9 +256,26 @@ def _token(kind: type, hex_size: int | None, minimum: int | None):
     return pattern, read_at_least
 
 
-def _picker(slots: list[int]):
-    """``values -> (values[slot] for slot in slots)`` as a tuple; ``itemgetter`` returns a bare item for one slot."""
-    return itemgetter(*slots) if len(slots) > 1 else lambda values: (values[slots[0]],)
+def _picker(keys: list):
+    """``values -> (values[key] for key in keys)`` as a tuple; ``itemgetter`` returns a bare item for one key."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return (lambda values: (values[keys[0]],)) if keys else (lambda values: ())
+
+
+def _checker(fields: list):
+    """``match -> None``: each ``(group name, reader)`` of ``fields`` reads its token; a refusal raises ``ValueError``."""
+    pick, readers = _picker([name for name, _ in fields]), tuple(read for _, read in fields)
+
+    def check(match: re.Match) -> None:
+        for read, token in zip(readers, pick(match)):
+            read(token)
+    return check
+
+
+# ``int`` refuses a decimal string only when it has more digits than
+# ``sys.get_int_max_str_digits()``, which cannot be set below this
+_SAFE_DIGITS = sys.int_info.str_digits_check_threshold
 
 
 class Template:
@@ -263,50 +284,99 @@ class Template:
     Built from the field table: each key a literal in sorted order, each tag
     and each ``fixed`` top-level field its constant, each other field the one
     token form the encoder writes for its kind, a nested structure its own
-    template. A structure with a ``dict`` field has none. ``read`` fills the
-    records straight from the groups, so text the template matches is never
-    decoded as JSON or encoded again.
+    template. Its named groups (module docstring) let a caller read what it
+    needs from one ``match``; ``records`` builds every record from them, and
+    ``signed_body`` cuts out what a signature covers.
     """
 
     def __init__(self, cls: type[Wire], **fixed: Any) -> None:
-        self._readers: list = []  # one per group, in text order
+        self._fields: list = []  # (group name, reader) per field token, in text order
+        self._numbers: list = []  # the same per number token: its reader refuses some tokens the pattern takes
+        self._floats: list = []  # the same per float token
+        self._cuts: dict = {}  # structure path -> (group name, chars before it, chars after it) per unsigned member
+        self._shortest = 0  # the length of the shortest text the pattern matches
         steps: list = []  # (structure, its fields' slots in constructor order), innermost first
-        self._match = re.compile(self._pattern(cls, fixed, steps)).fullmatch
-        groups = len(self._readers)  # the values list holds every group's value, then each structure built
+        self._match = re.compile(self._pattern(cls, fixed, steps, "")).fullmatch
+        names, self._readers = zip(*self._fields)
+        self._tokens = _picker(list(names))
+        self._check_numbers, self._check_floats = _checker(self._numbers), _checker(self._floats)
+        # a shorter text has no integer token long enough for ``int`` to refuse
+        self._long_ints = self._shortest + _SAFE_DIGITS
+        groups = len(self._fields)  # the values list holds every field's value, then each structure built
         self._steps = tuple((kind, kind.FIELDS, _picker([slot if slot >= 0 else groups + ~slot for slot in slots]))
                             for kind, slots in steps)
 
-    def _pattern(self, cls: type[Wire], fixed: dict, steps: list) -> str:
+    def _pattern(self, cls: type[Wire], fixed: dict, steps: list, path: str) -> str:
         rows = {row[0]: row for row in cls._rows}
-        slots, parts = {}, []
+        slots, parts, cuts = {}, [], []
+        self._shortest += len(cls._keys) + 1  # the braces and the commas
+        leading = True  # no signed member before this one
         for key in sorted(cls._keys):
+            literal = _ENCODER.encode(key) + ":"
+            name = f"{path}__{key}" if path else key
             if key in cls.TAGS:
-                token = re.escape(_ENCODER.encode(cls.TAGS[key]))
-            elif issubclass(rows[key][1], Wire):
-                token = self._pattern(rows[key][1], {}, steps)
-                slots[key] = ~(len(steps) - 1)  # ~k: the k-th structure built, placed after the groups
+                member = literal + _ENCODER.encode(cls.TAGS[key])
+                parts.append(re.escape(member))
+                self._shortest += len(member)
+                leading = False
+                continue
+            kind, hex_size, minimum, signed = rows[key][1:]
+            quoted = kind in (bytes, str) and key not in fixed
+            if issubclass(kind, Wire):
+                token = self._pattern(kind, {}, steps, name)
+                slots[key] = ~(len(steps) - 1)  # ~k: the k-th structure built, placed after the field values
             else:
-                token, read = _token(*rows[key][1:4])
+                token, read = _token(kind, hex_size, minimum)
                 if key in fixed:
-                    token = f"({re.escape(_ENCODER.encode(fixed[key]))})"
-                slots[key] = len(self._readers)
-                self._readers.append(read)
-            parts.append(re.escape(_ENCODER.encode(key)) + ":" + token)
+                    constant = _ENCODER.encode(fixed[key])
+                    token = re.escape(constant)
+                    self._shortest += len(constant)
+                elif quoted:
+                    self._shortest += 2 + (2 * hex_size if kind is bytes else 0)
+                else:
+                    self._shortest += 1
+                    self._numbers.append((name, read))
+                    if kind is float:
+                        self._floats.append((name, read))
+                slots[key] = len(self._fields)
+                self._fields.append((name, read))
+            self._shortest += len(literal)
+            parts.append(re.escape(literal) + ('"(?P<%s>%s)"' if quoted else "(?P<%s>%s)") % (name, token))
+            if not signed:  # cut with the comma after it while it leads, else with the one before it
+                cuts.append((name, len(literal) + quoted + (not leading), quoted + leading))
+            leading = leading and not signed
         steps.append((cls, [slots[name] for name in cls.FIELDS]))
+        self._cuts[path] = tuple(cuts)
         return r"\{" + ",".join(parts) + r"\}"
 
-    def read(self, text: str):
-        """The structure whose canonical encoding is exactly ``text``, or None."""
+    def match(self, text: str) -> re.Match | None:
+        """The match of ``text`` if it is exactly the canonical encoding of some value of the structure, else None."""
         match = self._match(text)
         if match is None:
             return None
-        try:
-            values = [read(group) for read, group in zip(self._readers, match.groups())]
-        except ValueError:  # a token of the right form but no canonical value, or an integer over the digit limit
+        try:  # a number of the right form but no canonical value, or an integer over the digit limit
+            (self._check_numbers if len(text) >= self._long_ints else self._check_floats)(match)
+        except ValueError:
             return None
+        return match
+
+    def records(self, match: re.Match):
+        """The structure ``match`` encodes, built from its groups with no JSON decoding."""
+        values = [read(token) for read, token in zip(self._readers, self._tokens(match))]
         for cls, names, pick in self._steps:
             out = object.__new__(cls)  # filled in constructor order, so equal records hash alike
             out.__dict__.update(zip(names, pick(values)))
             values.append(out)
         return values[-1]
 
+    def signed_body(self, match: re.Match, path: str = "") -> bytes:
+        """The canonical bytes the signature of the structure at ``path`` covers: its text, unsigned members cut."""
+        text = match.string
+        pos, end = match.span(path or 0)
+        pieces = []
+        for name, before, after in self._cuts[path]:
+            start, stop = match.span(name)
+            pieces.append(text[pos:start - before])
+            pos = stop + after
+        pieces.append(text[pos:end])
+        return "".join(pieces).encode("utf-8")

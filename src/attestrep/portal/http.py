@@ -16,7 +16,10 @@ that is not a decimal number is 400, one over ``MAX_ARCHIVE_BYTES`` (1 GiB)
 is 413, each answered before any of the body is read and followed by
 closing the connection. A route that reads no body (``process``, every GET,
 404) closes the connection after a request that declares one. A client that
-resets the connection has closed it: its handler ends quietly.
+resets the connection has closed it: its handler ends quietly. A connection
+waits at most ``CONNECTION_TIMEOUT_S`` for each read from its client: an idle
+one, or one that stops inside its header block, is closed without an answer;
+one that stops inside its body gets 408 ``RequestTimeout`` and a close.
 """
 
 from __future__ import annotations
@@ -41,6 +44,11 @@ from attestrep.portal.core import (
 logger = logging.getLogger(__name__)
 
 AUTHOR_HEADER = "X-Author-Id"
+
+# seconds a handler waits on one read from its client (a request line, a header line, body
+# bytes) before it closes the connection and its thread ends; a keep-alive client that idles
+# between requests for far less keeps its connection
+CONNECTION_TIMEOUT_S = 60
 
 # a client that resets or stops reading its connection has closed it; that is not a server fault
 _CLIENT_GONE = (ConnectionResetError, BrokenPipeError)
@@ -93,6 +101,7 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # headers and body are two sends: with Nagle on, each waits for the client's delayed ACK
     disable_nagle_algorithm = True
+    timeout = CONNECTION_TIMEOUT_S  # the base class times out a request line or header as a close
 
     @property
     def portal(self) -> Portal:
@@ -121,7 +130,10 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
         length = _count(header, "Content-Length")
         if length > MAX_ARCHIVE_BYTES:
             raise RequestRefused(413, "PayloadTooLarge", f"body of {length} bytes is over the limit")
-        return self.rfile.read(length)
+        try:
+            return self.rfile.read(length)
+        except TimeoutError:
+            raise RequestRefused(408, "RequestTimeout", f"no body bytes for {self.timeout} s") from None
 
     def _send(self, status: int, body: bytes, content_type: str = "application/json") -> None:
         self.send_response(status)

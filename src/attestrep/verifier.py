@@ -7,13 +7,20 @@ the first failing check named, in a fixed order:
     parse -> chain -> validity -> quote signature -> binding -> bundle_id
           -> exit status
 
+Every check reads the bundle template's match of the bytes
+(``bundle.match_bundle``), which proves them canonical; no record is built.
+The quote's signed body and the body ``bundle_id`` hashes are cut from the
+matched text, the bindings compare its groups. Bytes the template refuses
+go to ``parse_bundle``, which names the fault.
+
 A verdict is a pure function of (bytes, trust roots, now). The state kept
 between calls is two bounded memos, and no verdict is among it:
 
-- the chain memo here, of chain signature outcomes: the root statement's
-  self-signature and the endorsement's signature under its root key. Every
-  bundle from one provider carries the same chain, so those two Ed25519
-  checks run once per process;
+- the chain memo here, keyed on the chain's exact canonical text: the
+  outcomes of the root statement's self-signature and of the endorsement's
+  signature under its root key, with the root key, the validity window and
+  the attestation key the later checks read. Every bundle from one provider
+  carries the same chain, so those two Ed25519 checks run once per process;
 - the loaded public keys of ``attestation`` (``KEY_MEMO_SIZE``): a key's
   bytes become a key object once, and every signature is still checked.
 
@@ -25,16 +32,19 @@ parameter; nothing here reads wall time.
 from __future__ import annotations
 
 import functools
+import json
 from typing import Iterable
 
-from attestrep.attestation import AttestationEndorsement, RootStatement
+from attestrep.attestation import AttestationQuote, EndorsementChain
 from attestrep.bundle import (
     BundleParseError,
     ProofBundle,
     VersionUnsupported,
+    bundle_template,
     canonical_bundle_id,
     compute_measurement,
     compute_report_data,
+    match_bundle,
     parse_bundle,
 )
 
@@ -99,16 +109,24 @@ def _normalize_roots(trust_roots: Iterable[bytes | str]) -> set[bytes]:
     return roots
 
 
-# Keyed on the parsed structures: frozen ``Wire`` records whose equality covers
-# every field, signature included, so a hit is the same statement the check passed on.
 @functools.lru_cache(maxsize=CHAIN_MEMO_SIZE)
-def _root_statement_valid(statement: RootStatement) -> bool:
-    return statement.verify()
+def _chain_checks(text: str) -> tuple[bool, bytes, int, int, bool, bytes]:
+    """What the chain checks find in the chain whose canonical text is ``text``.
 
-
-@functools.lru_cache(maxsize=CHAIN_MEMO_SIZE)
-def _endorsement_valid(endorsement: AttestationEndorsement, root_public_key: bytes) -> bool:
-    return endorsement.verify(root_public_key)
+    (root statement self-signature valid, root key, not_before, not_after,
+    endorsement signature valid under that root key, attestation key). The
+    key is the exact text, so a chain one byte different is another entry;
+    records are built only here, for a chain not seen before. The endorsement
+    is checked only where a verdict can reach its check: the root statement
+    valid and the window not empty.
+    """
+    chain = EndorsementChain.from_dict(json.loads(text))
+    statement, endorsement = chain.root_statement, chain.attestation_endorsement
+    root_valid = statement.verify()
+    endorsement_valid = (root_valid and endorsement.not_before < endorsement.not_after
+                         and endorsement.verify(statement.root_public_key))
+    return (root_valid, statement.root_public_key, endorsement.not_before, endorsement.not_after,
+            endorsement_valid, endorsement.attestation_public_key)
 
 
 def verify_bundle(data: bytes, trust_roots: Iterable[bytes | str], now: int) -> Verdict:
@@ -119,45 +137,54 @@ def verify_bundle(data: bytes, trust_roots: Iterable[bytes | str], now: int) -> 
     """
     roots = _normalize_roots(trust_roots)
 
-    try:
-        bundle = parse_bundle(data)
-    except VersionUnsupported as exc:
-        return Verdict.reject(VERSION_UNSUPPORTED, str(exc))
-    except BundleParseError as exc:
-        return Verdict.reject(PARSE_ERROR, str(exc))
+    match = match_bundle(data)
+    if match is None:
+        try:
+            parse_bundle(data)  # accepts only what the template matches: here it names the fault
+        except VersionUnsupported as exc:
+            return Verdict.reject(VERSION_UNSUPPORTED, str(exc))
+        except BundleParseError as exc:
+            return Verdict.reject(PARSE_ERROR, str(exc))
+        raise AssertionError("parse_bundle accepted bytes the bundle template refused")
 
-    chain = bundle.chain
-    if not _root_statement_valid(chain.root_statement):
+    root_valid, root_key, not_before, not_after, endorsement_valid, attestation_key = _chain_checks(match["chain"])
+    if not root_valid:
         return Verdict.reject(CHAIN_SIGNATURE_INVALID, "root statement self-signature invalid")
-    if chain.root_statement.root_public_key not in roots:
+    if root_key not in roots:
         return Verdict.reject(UNTRUSTED_ROOT, "chain roots to a key outside the trusted set")
-    endorsement = chain.attestation_endorsement
-    if endorsement.not_before >= endorsement.not_after:
+    if not_before >= not_after:
         return Verdict.reject(CHAIN_SIGNATURE_INVALID, "endorsement validity window is empty")
-    if not _endorsement_valid(endorsement, chain.root_statement.root_public_key):
+    if not endorsement_valid:
         return Verdict.reject(CHAIN_SIGNATURE_INVALID, "attestation endorsement signature invalid")
 
-    if now < endorsement.not_before:
-        return Verdict.reject(ENDORSEMENT_NOT_YET_VALID, f"valid from {endorsement.not_before}")
-    if now > endorsement.not_after:
-        return Verdict.reject(EXPIRED_ENDORSEMENT, f"expired at {endorsement.not_after}")
+    if now < not_before:
+        return Verdict.reject(ENDORSEMENT_NOT_YET_VALID, f"valid from {not_before}")
+    if now > not_after:
+        return Verdict.reject(EXPIRED_ENDORSEMENT, f"expired at {not_after}")
 
-    if not bundle.quote.verify_signature(endorsement.attestation_public_key):
+    if not AttestationQuote.verify_signature(
+        attestation_key,
+        bytes.fromhex(match["quote__signing_key_id"]),
+        bytes.fromhex(match["quote__signature"]),
+        bundle_template().signed_body(match, "quote"),
+    ):
         return Verdict.reject(QUOTE_SIGNATURE_INVALID, "quote signature or signing key id invalid")
 
+    package_digest = bytes.fromhex(match["package_digest__value"])
     expected_report_data = compute_report_data(
-        bundle.package_digest.value, bundle.output_digest.value, bundle.execution.nonce
+        package_digest, bytes.fromhex(match["output_digest__value"]), bytes.fromhex(match["execution__nonce"])
     )
-    if bundle.quote.report_data != expected_report_data:
+    if bytes.fromhex(match["quote__report_data"]) != expected_report_data:
         return Verdict.reject(REPORT_DATA_MISMATCH, "report_data does not bind these digests and nonce")
-    if bundle.quote.measurement != compute_measurement(bundle.package_digest.value):
+    if bytes.fromhex(match["quote__measurement"]) != compute_measurement(package_digest):
         return Verdict.reject(MEASUREMENT_MISMATCH, "measurement does not match the package digest")
 
-    if bundle.bundle_id != canonical_bundle_id(data):
+    if bytes.fromhex(match["bundle_id"]) != canonical_bundle_id(match):
         return Verdict.reject(BUNDLE_ID_MISMATCH, "bundle_id does not recompute from the body")
 
-    if bundle.execution.exit_status != 0:
-        return Verdict.reject(NONZERO_EXIT, f"exit status {bundle.execution.exit_status}")
+    exit_status = match["execution__exit_status"]  # canonical decimal: "0" is the only zero
+    if exit_status != "0":
+        return Verdict.reject(NONZERO_EXIT, f"exit status {exit_status}")
 
     return Verdict.accept()
 

@@ -8,6 +8,7 @@ values, types and signs included.
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import pytest
@@ -184,3 +185,32 @@ def test_template_reads_back_what_the_encoder_writes(quote_id: str, root_id: str
     parsed = parse_bundle(data)
     assert parsed == bundle and hash(parsed) == hash(bundle)
     assert _assert_agrees(data)  # and re-encodes to ``data``: -0.0 keeps its sign, an int stays an int
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-the-limit", "one-over"])
+def test_the_digit_limit_holds_in_the_shortest_bundle(extra: int) -> None:
+    """An integer of one digit over the lowest limit ``int`` allows is refused even where nothing else is long.
+
+    The template reads integer tokens only in a text long enough to hold one
+    ``int`` could refuse; the shortest bundle with such a token is the edge.
+    """
+    limit = sys.int_info.str_digits_check_threshold  # no limit can be set below it
+    golden, chain = GOLDEN_BUNDLE, GOLDEN_BUNDLE.chain
+    shortest = golden.replace(
+        package_digest=golden.package_digest.replace(file_count=0, total_bytes=0),
+        output_digest=golden.output_digest.replace(file_count=0, total_bytes=0),
+        execution=golden.execution.replace(exit_status=0, wall_seconds=0, started_at=0, finished_at=0),
+        quote=golden.quote.replace(version=0, provider_id="", issued_at=0),
+        chain=chain.replace(
+            root_statement=chain.root_statement.replace(provider_id=""),
+            attestation_endorsement=chain.attestation_endorsement.replace(provider_id="", not_before=0, not_after=0),
+        ),
+    )
+    data = serialize_bundle(shortest)
+    data = data.replace(b'"file_count":0,', b'"file_count":' + b"9" * (limit + extra) + b",", 1)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert _assert_agrees(data) == (extra == 0)
+    finally:
+        sys.set_int_max_str_digits(before)

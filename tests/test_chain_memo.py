@@ -1,10 +1,11 @@
-"""The verifier's chain-signature memo saves Ed25519 checks and never changes a verdict.
+"""The verifier's chain memo saves Ed25519 checks and never changes a verdict.
 
 Every bundle one provider issues carries the same endorsement chain, so the
 root self-signature and the endorsement signature are checked once per
-process; the quote and every check against ``roots`` and ``now`` run on
-every call. Public keys are loaded once each, and a loaded key still checks
-every signature it is given.
+process. The memo is keyed on the chain's exact canonical text: a chain one
+byte different is a new entry, checked afresh. The quote and every check
+against ``roots`` and ``now`` run on every call. Public keys are loaded once
+each, and a loaded key still checks every signature it is given.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from attestrep.attestation import (
     ProviderConfig,
     key_fingerprint,
 )
-from attestrep.bundle import build_bundle, serialize_bundle
+from attestrep.bundle import build_bundle, match_bundle, serialize_bundle
 from attestrep.canonical import canonical_json_bytes, sha256
 from attestrep.verifier import (
     CHAIN_MEMO_SIZE,
@@ -40,11 +41,11 @@ from attestrep.verifier import (
 from conftest import NOW, OTHER_SEED, PROVIDER_SEED, T0
 from test_bundle import golden_record
 
-_MEMOS = (verifier._root_statement_valid, verifier._endorsement_valid)
+_MEMO = verifier._chain_checks
 
 
 def _clear() -> None:
-    for memo in _MEMOS + (attestation._public_key,):
+    for memo in (_MEMO, attestation._public_key):
         memo.cache_clear()
 
 
@@ -155,6 +156,15 @@ def test_memoized_chain_still_meets_roots_and_clock(roots, now: int, reason: str
     assert verify_bundle(VALID, ROOTS, now=NOW).accepted
 
 
+@pytest.mark.parametrize("reason", [UNTRUSTED_ROOT, EXPIRED_ENDORSEMENT])
+def test_a_chain_first_seen_refused_is_accepted_where_it_holds(reason: str) -> None:
+    _clear()
+    roots, now = ([OTHER.root_public_key], NOW) if reason == UNTRUSTED_ROOT else (ROOTS, 2**40)
+    assert verify_bundle(VALID, roots, now=now).reason == reason
+    assert verify_bundle(VALID, ROOTS, now=NOW).accepted
+    assert _MEMO.cache_info().hits == 1
+
+
 def _resigned_by_other_root(obj: dict) -> None:
     endorsement = AttestationEndorsement.from_dict(obj["chain"]["attestation_endorsement"])
     signature = Ed25519PrivateKey.from_private_bytes(OTHER_SEED).sign(endorsement.canonical_body())
@@ -183,6 +193,24 @@ def test_memoized_chain_still_rejects_a_changed_chain(mutate, roots) -> None:
     assert verdict.reason == CHAIN_SIGNATURE_INVALID
 
 
+def _chain_text(data: bytes) -> str:
+    return match_bundle(data)["chain"]
+
+
+def test_a_chain_one_byte_different_is_a_miss() -> None:
+    changed = _edited(VALID, _flip_signature("chain", "attestation_endorsement"))
+    one, other = _chain_text(VALID), _chain_text(changed)
+    assert len(one) == len(other) and sum(a != b for a, b in zip(one, other)) == 1
+    _clear()
+    _warm()
+    assert _MEMO.cache_info().misses == 1
+    assert verify_bundle(changed, ROOTS, now=NOW).reason == CHAIN_SIGNATURE_INVALID
+    info = _MEMO.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    _warm()  # the first chain's entry still serves it
+    assert _MEMO.cache_info().hits == 1
+
+
 @settings(max_examples=300, deadline=None)
 @given(position=st.integers(min_value=0, max_value=len(VALID) - 1), value=st.integers(min_value=0, max_value=255))
 def test_warm_memo_gives_the_cold_verdict(position: int, value: int) -> None:
@@ -200,9 +228,8 @@ def test_memo_stays_within_its_bound() -> None:
     for i in range(CHAIN_MEMO_SIZE + 8):
         provider = _provider(i.to_bytes(32, "big"))
         assert verify_bundle(_bundle_bytes(provider), [provider.root_public_key], now=NOW).accepted
-    for memo in _MEMOS:
-        info = memo.cache_info()
-        assert info.maxsize == CHAIN_MEMO_SIZE and info.currsize == CHAIN_MEMO_SIZE
+    info = _MEMO.cache_info()
+    assert info.maxsize == CHAIN_MEMO_SIZE and info.currsize == CHAIN_MEMO_SIZE
     keys = attestation._public_key.cache_info()  # a root and an attestation key per provider
     assert keys.maxsize == KEY_MEMO_SIZE and keys.currsize == KEY_MEMO_SIZE
 

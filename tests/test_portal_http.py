@@ -23,7 +23,7 @@ from attestrep.archive import pack_tree
 from attestrep.bundle import parse_bundle
 from attestrep.portal.audit import AuditEntry
 from attestrep.portal.core import Portal
-from attestrep.portal.http import make_server
+from attestrep.portal.http import CONNECTION_TIMEOUT_S, PortalRequestHandler, make_server
 from attestrep.verifier import verify_bundle
 from conftest import PROVIDER_SEED, make_package
 from test_bundle_schema import HOSTILE
@@ -275,6 +275,46 @@ def test_client_reset_is_a_close_not_a_traceback(base_url: str, capfd) -> None:
 def test_malformed_request_fails_closed(base_url: str, head: bytes, status: int, error: str) -> None:
     answered, body = _raw_exchange(base_url, head)
     assert (answered, body["error"]) == (status, error)
+
+
+_SHORT_TIMEOUT_S = 0.5
+_CLOSE_MARGIN_S = 2.0
+
+
+def _handler_threads() -> int:
+    return sum(thread.name.endswith("(process_request_thread)") for thread in threading.enumerate())
+
+
+@pytest.mark.parametrize(
+    ("sent", "answer"),
+    [
+        (b"", b""),
+        (b"GET /v1/audit-log HTTP/1.1\r\nHost: t\r\n", b""),
+        (b"POST /v1/verify HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n" + b"{" * 10, b"HTTP/1.1 408 "),
+    ],
+    ids=["idle", "partial-header-block", "short-body"],
+)
+def test_a_stalled_client_is_closed_within_the_timeout(base_url: str, monkeypatch, sent: bytes, answer: bytes) -> None:
+    assert CONNECTION_TIMEOUT_S >= 60  # far above a keep-alive client's idle time between requests
+    monkeypatch.setattr(PortalRequestHandler, "timeout", _SHORT_TIMEOUT_S)
+    url = urlparse(base_url)
+    before = _handler_threads()
+    with socket.create_connection((url.hostname, url.port), timeout=_SHORT_TIMEOUT_S + _CLOSE_MARGIN_S) as sock:
+        start = time.monotonic()
+        sock.sendall(sent)
+        data = b""
+        while chunk := sock.recv(65536):  # a socket timeout here fails the test: the server kept the connection
+            data += chunk
+        elapsed = time.monotonic() - start
+    assert data.startswith(answer) and (answer or not data)
+    if answer:
+        assert json.loads(data.partition(b"\r\n\r\n")[2])["error"] == "RequestTimeout"
+        assert b"Connection: close\r\n" in data
+    assert elapsed < _SHORT_TIMEOUT_S + _CLOSE_MARGIN_S
+    deadline = time.monotonic() + _CLOSE_MARGIN_S
+    while _handler_threads() > before and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert _handler_threads() <= before
 
 
 @pytest.mark.parametrize(
