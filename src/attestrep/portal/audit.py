@@ -1,22 +1,23 @@
 """Append-only hash-chained audit log, read one way.
 
 Each entry hashes its predecessor: entry_hash = SHA-256(prev_hash || event)
-with the event in canonical JSON and 32 zero bytes before the first entry,
-so rewriting any historical event is evident from the file alone. A line is
-the canonical JSON of an ``AuditEntry``. ``_scan`` is the one chain walk:
+with the event in canonical JSON and 32 zero bytes before the first entry, so
+rewriting any historical event is evident from the file alone. A line is the
+canonical JSON of an ``AuditEntry``. ``_scan`` is the one chain walk:
 ``audit_check`` runs it over a file, and ``AuditLog`` runs it once when it
-opens, so a broken log raises ``AuditLogBroken`` instead of being appended
-to. The scan accepts a last line with no newline; opening the log then
-writes that newline, so the next append starts a line of its own. The open
-log keeps, for each entry, the byte offset of its line and its
-RFC 6962 leaf hash, SHA-256(0x00 || line without its newline): 32 bytes per
-entry in memory, filled by that scan and by ``append``. ``entries(from_seq)``
-seeks to its first entry, checks each line it returns against its leaf hash
-and returns the stored lines themselves, decoding nothing, so a read costs
-what it returns. A read that finds any byte of a line changed since it was
-scanned or appended raises ``AuditLogBroken``, and from then on so does every
-append. Appends are serialized through one lock; the chain needs a total
-order.
+opens and hands each entry to ``replay``, so a broken log raises
+``AuditLogBroken`` instead of being appended to. The scan accepts a last line
+with no newline; opening the log then writes that newline. A failed append is
+cut back out of the file, so the next one takes its ``seq``; if the cut fails
+too, the log takes no more appends. The open log keeps, for each entry, the
+byte offset of its line and its RFC 6962 leaf hash, SHA-256(0x00 || line
+without its newline): 32 bytes per entry in memory, filled by that scan and by
+``append``. ``entries(from_seq)`` seeks to its first entry, checks each line it
+returns against its leaf hash and returns the stored lines themselves, decoding
+nothing, so a read costs what it returns. A read that finds any byte of a line
+changed since it was scanned or appended raises ``AuditLogBroken``, and from
+then on so does every append. Appends are serialized through one lock; the
+chain needs a total order.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import json
 import os
 import threading
 from array import array
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -115,8 +116,9 @@ def _checked(data: bytes, seq: int, leaves: bytes) -> list[StoredEntry]:
 
 
 class AuditLog:
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, replay: Callable[[AuditEntry], None] = lambda entry: None) -> None:
         self.path = Path(path)
+        self.path.touch()  # a failed append cuts the file back, so it is there before the first one
         self._lock = threading.Lock()
         self._offsets = array("Q")  # seq -> byte offset of its line
         self._leaves = bytearray()  # seq -> the 32-byte leaf hash of its line, at 32 * seq
@@ -126,7 +128,8 @@ class AuditLog:
             self._offsets.append(offset)
             self._leaves += leaf
             self._last_hash = entry.entry_hash
-        size = self.path.stat().st_size if self.path.exists() else 0
+            replay(entry)
+        size = self.path.stat().st_size
         if size:
             with self.path.open("r+b") as fh:
                 fh.seek(size - 1)
@@ -148,11 +151,17 @@ class AuditLog:
                 entry_hash=_entry_hash(self._last_hash, event),
             )
             line = canonical_json_bytes(entry.to_dict())
-            with self.path.open("ab") as fh:
-                offset = fh.tell()
-                fh.write(line + b"\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+            try:
+                with self.path.open("ab") as fh:
+                    offset = fh.tell()
+                    fh.write(line + b"\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            except BaseException:
+                self._broken_at = entry.seq  # until the line, whole or in part, is cut back out of the file
+                os.truncate(self.path, self._end)
+                self._broken_at = None
+                raise
             self._offsets.append(offset)
             self._leaves += _leaf(line)
             self._end = offset + len(line) + 1

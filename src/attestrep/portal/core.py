@@ -4,27 +4,25 @@ State and artifacts live in one store directory::
 
     provider.json        simulated provider seed and chain anchor time
     blobs/               content-addressed archives and proof bundles
-    submissions/<id>.json  one record per submission; a Proved one holds its token
     quarantine/<id>/     unpacked package trees
     runs/<id>/           runner sandboxes and logs
-    audit.log            hash-chained event log
+    audit.log            hash-chained event log: the one record of every submission
 
-One ``Portal`` owns a store: it reads every record once when it opens and
-then serves ids and tokens from memory, so two portals must not share a
-store. Every state change commits in one order (``Portal._commit``): the
-record is written and fsynced to a temp file beside its path, then the
-audit event is appended, then the temp file is renamed over the old record,
-then the in-memory tables change. A failed write appends nothing, and a
-refused append (``AuditLogBroken``) removes the temp file, so neither
-changes anything after it; a failed rename appends a ``commit-failed``
-event naming the ``seq`` of the event no record took. The bundle blob is
-written before the record flips to Proved, so a token resolves only once its
-proof is committed. On startup any submission stuck in Running is swept
-back to Received, so observable states after a crash are Received or
-terminal. A ``tokens/`` directory left by older versions is ignored. The
-limits are module constants, not settings: runs get ``RUN_SECONDS`` and
-``runner.MAX_OUTPUT_BYTES``, archives ``archive.MAX_ARCHIVE_BYTES`` and
-``archive.MAX_MEMBERS``, duplicates ``DUPLICATE_WINDOW_SECONDS``.
+One ``Portal`` owns a store: it rebuilds its submission and token tables by
+replaying the events its log's open-time scan parses, then serves ids and
+tokens from memory, so two portals must not share a store. A state change is
+one append followed by the table update (``Portal._commit``), so an append
+that fails or is refused (``AuditLogBroken``) changes nothing. The bundle
+blob is written before the Proved event, so a token resolves only once its
+proof is committed. On startup a submission left Running gets a Received
+event, so observable states after a crash are Received or terminal. A store
+whose submissions also have ``submissions/<id>.json`` records still opens:
+an event that lacks a field the tables need takes it from that record, and a
+``commit-failed`` event voids the event it names. A ``tokens/`` directory
+left by older versions is ignored. The limits are module constants, not
+settings: runs get ``RUN_SECONDS`` and ``runner.MAX_OUTPUT_BYTES``, archives
+``archive.MAX_ARCHIVE_BYTES`` and ``archive.MAX_MEMBERS``, duplicates
+``DUPLICATE_WINDOW_SECONDS``.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from attestrep.bundle import BundleError, PackageDigest, ProofBundle, build_bund
 from attestrep.canonical import canonical_json_bytes
 from attestrep.package_model import PackageError, digest_package, load_manifest
 from attestrep.portal.audit import AuditCheck, AuditEntry, AuditLog, AuditLogBroken, StoredEntry, audit_check
-from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore, atomic_write, staged_write
+from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore, atomic_write
 from attestrep.runner import RunnerError, execute
 from attestrep.verifier import DIGEST_MISMATCH, Verdict, verify_against_archive, verify_bundle
 
@@ -147,16 +145,11 @@ class PortalVerification:
         return out
 
 
-def _submission_id(package_digest: PackageDigest, received_at: int, author_id: str) -> str:
-    material = package_digest.value + received_at.to_bytes(8, "big") + author_id.encode("utf-8")
-    return hashlib.sha256(material).hexdigest()
-
-
 class Portal:
     """One store directory, any number of concurrent callers.
 
-    Records live in memory as ``id -> Submission`` and ``token -> id``,
-    loaded once from the store, beside ``archive blob -> PackageDigest``
+    Records live in memory as ``id -> Submission`` and ``token -> Submission``,
+    replayed once from the audit log, beside ``archive blob -> PackageDigest``
     for each archive ``public_verify`` has digested. One lock covers the two steps that must not
     interleave: ``submit``'s duplicate check and insert, and ``process``'s
     claim of a Received submission. Packages run with no lock held, so
@@ -169,11 +162,8 @@ class Portal:
         self.clock = clock if clock is not None else (lambda: int(time.time()))
         self.store_dir.mkdir(parents=True, exist_ok=True)
         self.blobs = BlobStore(self.store_dir / "blobs")
-        self.audit_log = AuditLog(self.store_dir / "audit.log")
-        self._submissions_dir = self.store_dir / "submissions"
-        self._quarantine_dir = self.store_dir / "quarantine"
-        self._runs_dir = self.store_dir / "runs"
-        for path in (self._submissions_dir, self._quarantine_dir, self._runs_dir):
+        self._quarantine_dir, self._runs_dir = self.store_dir / "quarantine", self.store_dir / "runs"
+        for path in (self._quarantine_dir, self._runs_dir):
             path.mkdir(exist_ok=True)
 
         self.provider = self._load_or_create_provider(provider_seed)
@@ -181,9 +171,16 @@ class Portal:
 
         self._lock = threading.Lock()
         self._submissions: dict[str, Submission] = {}
-        self._tokens: dict[str, str] = {}
+        self._tokens: dict[str, Submission] = {}
         self._archive_digests: dict[str, PackageDigest] = {}  # archive blob key -> digest of its bytes
-        self._load_submissions()
+        self._proofs: dict[str, dict] = {}  # id -> the bundle of its last proof-archived event, until Proved
+        recorded: dict[int, dict] = {}  # seq -> event, for each event that changes a submission
+        self.audit_log = AuditLog(self.store_dir / "audit.log", replay=lambda entry: self._hold(entry, recorded))
+        for event in recorded.values():
+            self._apply(event)
+        for submission in [s for s in self._submissions.values() if s.state == STATE_RUNNING]:  # cut short by a crash
+            logger.warning("recovering interrupted submission %s", submission.submission_id)
+            self._transition(submission, STATE_RECEIVED)
 
     # -- provider bootstrap -------------------------------------------------
 
@@ -205,25 +202,30 @@ class Portal:
 
     # -- records --------------------------------------------------------------
 
-    def _remember(self, submission: Submission) -> None:
-        self._submissions[submission.submission_id] = submission
-        if submission.state == STATE_PROVED:
-            self._tokens[submission.token] = submission.submission_id
+    def _commit(self, kind: str, **fields) -> Submission:
+        """Append one event, stamped with the clock unless ``fields`` give ``at``, then apply it to the tables."""
+        event = {"type": kind, "at": self.clock(), **fields}
+        self.audit_log.append(event)
+        self._apply(event)
+        return self._submissions[fields["submission_id"]]
 
-    def _commit(self, submission: Submission, kind: str, **fields) -> Submission:
-        """Stage the record, audit, rename it into place, change the tables: an event names only a written record."""
-        path = self._submissions_dir / f"{submission.submission_id}.json"
-        entry = None
-        try:
-            with staged_write(path, canonical_json_bytes(submission.to_dict())):
-                entry = self._audit(kind, **fields)
-        except BaseException:
-            if entry is not None:  # logged, but the rename failed: no record took the event
-                with contextlib.suppress(AuditLogBroken, OSError):
-                    self._audit("commit-failed", seq=entry.seq)
-            raise
-        self._remember(submission)
-        return submission
+    def _apply(self, event: dict) -> None:
+        """Change the tables as one record event says; the replay at open and each commit both come here."""
+        submission_id = event["submission_id"]
+        if event["type"] == "proof-archived":  # held until the Proved event
+            self._proofs[submission_id] = {"bundle_blob": event["bundle_blob"], "token": event["bundle_id"]}
+            return
+        if event["type"] == "submission-received":
+            digest = PackageDigest(bytes.fromhex(event["package_digest"]), event["file_count"], event["total_bytes"])
+            submission = Submission(submission_id, event["author_id"], event["at"], STATE_RECEIVED, digest,
+                                    event["archive_blob"])
+        else:
+            proof = self._proofs.pop(submission_id) if event["state"] == STATE_PROVED else {}
+            submission = replace(self._submissions[submission_id], state=event["state"],
+                                 failure_reason=event.get("failure_reason"), **proof)
+        self._submissions[submission_id] = submission
+        if submission.state == STATE_PROVED:  # terminal, so the token table never holds a stale one
+            self._tokens[submission.token] = submission
 
     def get_submission(self, submission_id: str) -> Submission:
         # ids are looked up, never joined into a path, so any string is safe here
@@ -232,25 +234,25 @@ class Portal:
             raise UnknownSubmission(submission_id)
         return submission
 
-    def _transition(self, submission: Submission, state: str, **changes) -> Submission:
+    def _transition(self, submission: Submission, state: str, **fields) -> Submission:
         if state not in _TRANSITIONS[submission.state]:
             raise WrongState(submission.state)
-        updated = replace(submission, state=state, **changes)
-        return self._commit(updated, "state-changed", submission_id=submission.submission_id, state=state)
+        return self._commit("state-changed", submission_id=submission.submission_id, state=state, **fields)
 
-    def _audit(self, kind: str, **fields) -> AuditEntry:
-        """Append one event of type ``kind``, stamped with the clock unless ``fields`` give ``at``."""
-        return self.audit_log.append({"type": kind, "at": self.clock(), **fields})
-
-    def _load_submissions(self) -> None:
-        """Read every record once; a run a crash left in Running goes back to Received."""
-        for path in sorted(self._submissions_dir.glob("*.json")):
-            submission = Submission.from_dict(json.loads(path.read_text(encoding="utf-8")))
-            if submission.state == STATE_RUNNING:
-                logger.warning("recovering interrupted submission %s", submission.submission_id)
-                self._transition(submission, STATE_RECEIVED)
-            else:
-                self._remember(submission)
+    def _hold(self, entry: AuditEntry, recorded: dict[int, dict]) -> None:
+        """Keep an event that changes a submission for the replay at open, filling in what an older one lacks."""
+        event, kind = entry.event, entry.event.get("type")
+        if kind == "commit-failed":  # only an older store has one: the event it names took no record file
+            recorded.pop(event["seq"], None)
+        elif kind in ("submission-received", "proof-archived", "state-changed"):
+            if (kind == "submission-received" and "file_count" not in event
+                    or event.get("state") == STATE_FAILED and "failure_reason" not in event):
+                path = self.store_dir / "submissions" / f"{event['submission_id']}.json"
+                if not path.exists():  # the store stopped between this append and its record's rename
+                    return
+                record = Submission.from_dict(json.loads(path.read_text(encoding="utf-8")))
+                event = {"failure_reason": record.failure_reason, **record.package_digest.to_dict(), **event}
+            recorded[entry.seq] = event
 
     # -- operations -----------------------------------------------------------
 
@@ -271,23 +273,16 @@ class Portal:
                         and received_at - existing.received_at <= DUPLICATE_WINDOW_SECONDS
                     ):
                         raise DuplicateSubmission(existing.submission_id)
-                submission_id = _submission_id(package_digest, received_at, author_id)
+                material = package_digest.value + received_at.to_bytes(8, "big") + author_id.encode("utf-8")
+                submission_id = hashlib.sha256(material).hexdigest()
                 archive_blob = self.blobs.put(archive_bytes)
                 final_quarantine = self._quarantine_dir / submission_id
                 if final_quarantine.exists():
                     shutil.rmtree(final_quarantine)
                 os.replace(incoming, final_quarantine)
-                submission = Submission(
-                    submission_id=submission_id,
-                    author_id=author_id,
-                    received_at=received_at,
-                    state=STATE_RECEIVED,
-                    package_digest=package_digest,
-                    archive_blob=archive_blob,
-                )
-                return self._commit(submission, "submission-received", submission_id=submission_id,
-                                    author_id=author_id, package_digest=package_digest.hex,
-                                    archive_blob=archive_blob, at=received_at)
+                return self._commit("submission-received", submission_id=submission_id, author_id=author_id,
+                                    package_digest=package_digest.hex, file_count=package_digest.file_count,
+                                    total_bytes=package_digest.total_bytes, archive_blob=archive_blob, at=received_at)
         finally:
             if incoming.exists():
                 shutil.rmtree(incoming, ignore_errors=True)
@@ -308,9 +303,9 @@ class Portal:
                     raise PackageChanged(f"ran {record.package_digest.hex}, submitted {submission.package_digest.hex}")
                 bundle = build_bundle(record, self.provider, now=self.clock())
                 bundle_blob = self.blobs.put(serialize_bundle(bundle))
-                self._audit("proof-archived", submission_id=submission_id, bundle_id=bundle.token,
-                            bundle_blob=bundle_blob)
-                return self._transition(submission, STATE_PROVED, bundle_blob=bundle_blob, token=bundle.token)
+                self._commit("proof-archived", submission_id=submission_id, bundle_id=bundle.token,
+                             bundle_blob=bundle_blob)
+                return self._transition(submission, STATE_PROVED)
             except (PackageError, RunnerError, BundleError) as exc:
                 reason = f"{type(exc).__name__}: {exc}"
                 logger.info("submission %s failed: %s", submission_id, reason)
@@ -318,17 +313,16 @@ class Portal:
         except Exception:
             # a fault outside the package (a full disk, say) hands the claim back instead of stranding it
             if self._submissions[submission_id].state == STATE_RUNNING:
-                self._remember(replace(submission, state=STATE_RECEIVED))
-                with contextlib.suppress(OSError, AuditLogBroken):  # the record on disk is swept at the next start
+                self._submissions[submission_id] = replace(submission, state=STATE_RECEIVED)
+                with contextlib.suppress(OSError, AuditLogBroken):  # a log left at Running is swept at the next start
                     self._transition(submission, STATE_RECEIVED)
             raise
 
     def public_verify(self, token: str) -> PortalVerification:
         """Re-verify an archived proof and the archived package it names."""
-        submission_id = self._tokens.get(token)
-        if submission_id is None:
+        submission = self._tokens.get(token)
+        if submission is None:
             raise UnknownToken(token)
-        submission = self._submissions[submission_id]
         try:
             bundle_bytes = self.blobs.get_unverified(submission.bundle_blob)
         except BlobMissing:
@@ -367,8 +361,8 @@ class Portal:
         return verdict
 
     def _log_verification(self, token: str | None, verdict: Verdict) -> None:
-        self._audit("verification-served", token=token, verdict="Accept" if verdict.accepted else "Reject",
-                    reason=verdict.reason)
+        self.audit_log.append({"type": "verification-served", "at": self.clock(), "token": token,
+                               "verdict": "Accept" if verdict.accepted else "Reject", "reason": verdict.reason})
 
     def audit_check(self) -> AuditCheck:
         return audit_check(self.audit_log)

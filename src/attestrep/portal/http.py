@@ -12,10 +12,11 @@ holds it, checked against its leaf hash and neither decoded nor encoded
 again. What ``http.server`` refuses itself (request line, headers, method)
 is named JSON with a status line too, even for an HTTP/0.9 request. A body
 is read only to its declared ``Content-Length``: a missing one is 411, one
-that is not a decimal number is 400, one over ``MAX_ARCHIVE_BYTES`` (1 GiB)
-is 413, each answered before any of the body is read and followed by
-closing the connection. A route that reads no body (``process``, every GET,
-404) closes the connection after a request that declares one. A client that
+that is not a decimal number is 400, one over its route's limit (1 GiB
+``MAX_ARCHIVE_BYTES`` for a submission, 1 MiB ``MAX_VERIFY_BYTES`` for a
+verification) is 413, each answered before any of the body is read and
+followed by closing the connection. A route that reads no body (``process``,
+every GET, 404) closes the connection after a request that declares one. A client that
 resets the connection has closed it: its handler ends quietly. A connection
 waits at most ``CONNECTION_TIMEOUT_S`` for each read from its client: an idle
 one, or one that stops inside its header block, is closed without an answer;
@@ -49,6 +50,9 @@ AUTHOR_HEADER = "X-Author-Id"
 # bytes) before it closes the connection and its thread ends; a keep-alive client that idles
 # between requests for far less keeps its connection
 CONNECTION_TIMEOUT_S = 60
+
+# the largest body /v1/verify reads: a bundle is about 2 KB, a token request far less
+MAX_VERIFY_BYTES = 1 << 20
 
 # a client that resets or stops reading its connection has closed it; that is not a server fault
 _CLIENT_GONE = (ConnectionResetError, BrokenPipeError)
@@ -122,13 +126,13 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
         self._body_unread = ok and ("Transfer-Encoding" in self.headers or self.headers.get("Content-Length", "0") != "0")
         return ok
 
-    def _read_body(self) -> bytes:
+    def _read_body(self, limit: int) -> bytes:
         self._body_unread = "Transfer-Encoding" in self.headers  # read by Content-Length, never to a chunked end
         header = self.headers.get("Content-Length")
         if header is None:
             raise RequestRefused(411, "LengthRequired", "a body needs a Content-Length")
         length = _count(header, "Content-Length")
-        if length > MAX_ARCHIVE_BYTES:
+        if length > limit:
             raise RequestRefused(413, "PayloadTooLarge", f"body of {length} bytes is over the limit")
         try:
             return self.rfile.read(length)
@@ -181,13 +185,13 @@ class PortalRequestHandler(BaseHTTPRequestHandler):
             parts, _ = _route(self.path)
             if parts == ["v1", "submissions"]:
                 author = self.headers.get(AUTHOR_HEADER, "anonymous")
-                submission = self.portal.submit(self._read_body(), author_id=author)
+                submission = self.portal.submit(self._read_body(MAX_ARCHIVE_BYTES), author_id=author)
                 self._send_json(201, {"submission_id": submission.submission_id})
             elif len(parts) == 4 and parts[:2] == ["v1", "submissions"] and parts[3] == "process":
                 submission = self.portal.process(parts[2])
                 self._send_json(200, submission.to_dict())
             elif parts == ["v1", "verify"]:
-                self._handle_verify(self._read_body())
+                self._handle_verify(self._read_body(MAX_VERIFY_BYTES))
             else:
                 self._send_json(404, {"error": "NotFound", "detail": self.path})
         except Exception as exc:  # noqa: BLE001 - every failure becomes a JSON response

@@ -1,26 +1,23 @@
 """Flat-file content-addressed blob store, and the store's one atomic write.
 
 Keys are the SHA-256 of the stored bytes, so any silent mutation of a blob
-is detectable on read. Writes go through a temp file and rename, so a
-half-written blob never sits at its final path.
+is detectable on read. Blobs and ``provider.json`` are written through
+``atomic_write``, so a half-written file never sits at its final path.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import tempfile
-from collections.abc import Iterator
 from pathlib import Path
 
 
-@contextlib.contextmanager
-def staged_write(path: Path, data: bytes) -> Iterator[None]:
-    """Write ``data`` to a temp file beside ``path`` and fsync it; when the block ends, rename it over ``path``.
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, fsync it and rename it over ``path``.
 
     Readers see the old file or the new one, never a partial one. If the
-    write or the block fails, the temp file is removed, ``path`` is left as
+    write or the rename fails, the temp file is removed, ``path`` is left as
     it was, and the error propagates.
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
@@ -29,18 +26,11 @@ def staged_write(path: Path, data: bytes) -> Iterator[None]:
             fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        yield
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write(path: Path, data: bytes) -> None:
-    """``staged_write`` with nothing between the write and the rename."""
-    with staged_write(path, data):
-        pass
 
 
 class BlobMissing(KeyError):

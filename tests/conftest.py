@@ -16,6 +16,9 @@ NOW = T0 + 3600
 PROVIDER_SEED = b"\x01" * 32
 OTHER_SEED = b"\x02" * 32
 
+# a store written when each submission also had a record file, submissions/<id>.json (see its README)
+LEGACY_STORE = Path(__file__).parent / "fixtures" / "legacy_store"
+
 
 def make_package(
     root: Path,

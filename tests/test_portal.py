@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tarfile
 import threading
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,7 +35,7 @@ from attestrep.portal.core import (
 from attestrep.portal.store import BlobCorrupt, BlobMissing, BlobStore
 from attestrep.runner import execute
 from attestrep.verifier import DIGEST_MISMATCH, verify_bundle
-from conftest import PROVIDER_SEED, make_package
+from conftest import LEGACY_STORE, PROVIDER_SEED, make_package
 
 
 @pytest.fixture
@@ -66,6 +67,12 @@ def _break_the_audit_log(portal: Portal) -> None:
         portal.audit_entries(0)
 
 
+def _mend_the_audit_log(portal: Portal) -> None:
+    """Undo ``_break_the_audit_log`` in the file, so that a portal can open the store again."""
+    path = portal.audit_log.path
+    path.write_bytes(path.read_bytes().replace(b'"seq":9', b'"seq":0', 1))
+
+
 def _decoded(stored) -> list[AuditEntry]:
     """The ``AuditEntry`` of each stored line a read returned."""
     return [AuditEntry.from_dict(json.loads(entry.line)) for entry in stored]
@@ -90,27 +97,6 @@ def _replayed_states(portal: Portal) -> dict[str, str]:
             assert event["state"] in core._TRANSITIONS[before], f"{before} -> {event['state']}"
             states[event["submission_id"]] = event["state"]
     return states
-
-
-class _DiskFullOn:
-    """A file from ``os.fdopen`` whose write of bytes containing ``marker`` fails with ENOSPC, once."""
-
-    def __init__(self, fh, marker: bytes, faults: list) -> None:
-        self._fh, self._marker, self._faults = fh, marker, faults
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._fh.close()
-
-    def write(self, data):
-        if self._faults and isinstance(data, bytes) and self._marker in data:
-            raise self._faults.pop()
-        return self._fh.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self._fh, name)
 
 
 class TestArchive:
@@ -261,25 +247,6 @@ class TestSubmit:
             portal.submit(pack_tree(tmp_path / "pkg0"))
         assert reads == []
 
-    def test_failed_record_write_leaves_no_temp_file_and_no_record(
-        self, portal: Portal, archive: bytes, monkeypatch
-    ) -> None:
-        replace = os.replace
-
-        def failing_replace(src, dst):
-            if Path(dst).parent.name == "submissions":
-                raise OSError(28, "No space left on device")
-            return replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError):
-            portal.submit(archive, author_id="alice")
-        submissions = portal.store_dir / "submissions"
-        assert [path.name for path in submissions.iterdir() if path.name.startswith(".tmp-")] == []
-        assert portal._submissions == {}
-        monkeypatch.setattr(os, "replace", replace)
-        assert portal.submit(archive, author_id="alice").state == "Received"
-
     def test_member_count_is_capped(self, portal: Portal, archive: bytes, monkeypatch) -> None:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             count = len(tar.getmembers())
@@ -355,66 +322,6 @@ class TestProcess:
         assert Portal(portal.store_dir).get_submission(submission_id).state == "Received"
         assert portal.process(submission_id).state == "Proved"
         assert portal.audit_check().ok
-
-    def test_failed_record_write_hands_the_claim_back(self, portal: Portal, tmp_path: Path, monkeypatch) -> None:
-        package = make_package(tmp_path / "bad", script="#!/bin/sh\nexit 1\n")
-        submission_id = portal.submit(pack_tree(package), author_id="alice").submission_id
-        replace, faults = os.replace, [OSError(28, "No space left on device")]
-
-        def failing_replace(src, dst):
-            if faults and Path(dst).parent.name == "submissions":
-                raise faults.pop()
-            return replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError):
-            portal.process(submission_id)  # the Running claim's record is not renamed into place
-        assert portal.get_submission(submission_id).state == "Received"
-        assert portal.process(submission_id).state == "Failed"
-        assert portal.audit_check().ok
-
-    @pytest.mark.parametrize("failing", [1, 2], ids=["claim", "outcome"])
-    def test_failed_record_rename_voids_its_event(
-        self, portal: Portal, tmp_path: Path, monkeypatch, failing: int
-    ) -> None:
-        package = make_package(tmp_path / "bad", script="#!/bin/sh\nexit 1\n")
-        submission_id = portal.submit(pack_tree(package), author_id="alice").submission_id
-        replace, renames = os.replace, []
-
-        def failing_replace(src, dst):
-            if Path(dst).parent.name == "submissions":
-                renames.append(dst)
-                if len(renames) == failing:  # the Running claim, or the Failed outcome after it
-                    raise OSError(errno.ENOSPC, "No space left on device")
-            return replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError):
-            portal.process(submission_id)
-        assert portal.get_submission(submission_id).state == "Received"
-        voided = [entry.event for entry in _decoded(portal.audit_entries()) if entry.event["type"] == "commit-failed"]
-        assert len(voided) == 1
-        assert _decoded(portal.audit_entries(voided[0]["seq"]))[0].event["type"] == "state-changed"
-        assert _replayed_states(portal) == {submission_id: "Received"}
-        assert portal.process(submission_id).state == "Failed"
-        assert _replayed_states(portal) == {submission_id: "Failed"}
-        reopened = Portal(portal.store_dir)
-        assert _replayed_states(reopened) == {submission_id: reopened.get_submission(submission_id).state}
-        assert portal.audit_check().ok
-
-    def test_unstaged_record_appends_no_state_change(self, portal: Portal, archive: bytes, monkeypatch) -> None:
-        submission_id = portal.submit(archive, author_id="alice").submission_id
-        fdopen, faults = os.fdopen, [OSError(errno.ENOSPC, "No space left on device")]
-        # the Proved record is the one staged write whose bytes say so
-        monkeypatch.setattr(os, "fdopen", lambda *a, **k: _DiskFullOn(fdopen(*a, **k), b'"state":"Proved"', faults))
-        with pytest.raises(OSError):
-            portal.process(submission_id)
-        assert not faults
-        assert _replayed_states(portal) == {submission_id: portal.get_submission(submission_id).state}
-        assert _replayed_states(portal) == {submission_id: Portal(portal.store_dir).get_submission(submission_id).state}
-        assert portal.process(submission_id).state == "Proved"
-        assert _replayed_states(portal) == {submission_id: "Proved"}
-        assert [p.name for p in (portal.store_dir / "submissions").iterdir()] == [f"{submission_id}.json"]
 
     def test_tree_changed_after_submit_fails(self, portal: Portal, tmp_path: Path) -> None:
         # the sandbox is runs/<id>/tree, so ../../../quarantine holds every other submission's tree
@@ -702,7 +609,7 @@ class TestAudit:
         portal.verify_bundle_bytes(b"{}")
         data = portal.audit_log.path.read_bytes()
         assert len(data.splitlines()) == 6
-        assert hashlib.sha256(data).hexdigest() == "6aa1faac190e0c8b44aa976a2a6096801161bc5da278232edbdd25079a194062"
+        assert hashlib.sha256(data).hexdigest() == "f085bf75afd3d301ef69b76c7392ee24a0c869250c0b1eb3b354e227a4345845"
 
     def test_reopen_with_malformed_line_raises(self, portal: Portal, archive: bytes) -> None:
         portal.process(portal.submit(archive, author_id="alice").submission_id)
@@ -830,16 +737,55 @@ class TestAudit:
             for k in range(len(lines) + 1):
                 assert [(entry.seq, entry.line) for entry in opened.entries(from_seq=k)] == list(enumerate(lines))[k:]
 
+    def test_a_failed_append_is_cut_from_the_file(self, tmp_path: Path, monkeypatch) -> None:
+        log = AuditLog(tmp_path / "audit.log")
+        log.append({"type": "tick", "i": 0})
+        committed = log.path.read_bytes()
+        fsync, faults = os.fsync, [OSError(errno.EIO, "Input/output error")]
+
+        def failing_fsync(fd: int) -> None:
+            if faults:
+                raise faults.pop()
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            log.append({"type": "tick", "i": 1})  # written, then its sync fails
+        assert log.path.read_bytes() == committed
+        assert log.append({"type": "tick", "i": 2}).seq == 1
+        assert audit_check(log).ok
+        assert [entry.event["i"] for entry in _decoded(AuditLog(log.path).entries())] == [0, 2]
+
+    def test_a_failed_append_that_cannot_be_cut_refuses_the_next(self, tmp_path: Path, monkeypatch) -> None:
+        log = AuditLog(tmp_path / "audit.log")
+        log.append({"type": "tick", "i": 0})
+        fsync, faults = os.fsync, [OSError(errno.EIO, "Input/output error")]
+
+        def failing_fsync(fd: int) -> None:
+            if faults:
+                raise faults.pop()
+            fsync(fd)
+
+        def failing_truncate(path, length) -> None:
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        monkeypatch.setattr(os, "truncate", failing_truncate)
+        with pytest.raises(OSError):
+            log.append({"type": "tick", "i": 1})
+        with pytest.raises(AuditLogBroken) as excinfo:
+            log.append({"type": "tick", "i": 2})
+        assert excinfo.value.seq == 1
+
     def test_refused_append_registers_no_submission(self, portal: Portal, archive: bytes, tmp_path: Path) -> None:
         received = portal.submit(archive, author_id="alice")
         _break_the_audit_log(portal)
-        records = portal.store_dir / "submissions"
-        before = sorted(path.name for path in records.iterdir())
         other = pack_tree(make_package(tmp_path / "other", extra_files={"data.txt": "other\n"}))
         with pytest.raises(AuditLogBroken):
             portal.submit(other, author_id="bob")
         assert list(portal._submissions) == [received.submission_id]
-        assert sorted(path.name for path in records.iterdir()) == before
+        _mend_the_audit_log(portal)
+        assert Portal(portal.store_dir)._submissions == {received.submission_id: received}
 
     def test_refused_append_leaves_the_submission_received(self, portal: Portal, archive: bytes) -> None:
         submission_id = portal.submit(archive, author_id="alice").submission_id
@@ -847,8 +793,8 @@ class TestAudit:
         with pytest.raises(AuditLogBroken):
             portal.process(submission_id)
         assert portal.get_submission(submission_id).state == "Received"
-        record = json.loads((portal.store_dir / "submissions" / f"{submission_id}.json").read_bytes())
-        assert record["state"] == "Received"
+        _mend_the_audit_log(portal)
+        assert Portal(portal.store_dir).get_submission(submission_id).state == "Received"
 
     @pytest.mark.parametrize(
         "change",
@@ -860,6 +806,111 @@ class TestAudit:
         assert AuditEntry.from_dict(entry.to_dict()) == entry
         with pytest.raises(SchemaError):
             AuditEntry.from_dict({**entry.to_dict(), **change})
+
+
+def _legal_replay(portal: Portal) -> dict[str, str]:
+    """``_replayed_states`` of a portal opened anew on the same store, checked against that portal's table."""
+    reopened = Portal(portal.store_dir, clock=portal.clock)
+    states = _replayed_states(reopened)
+    assert states == {sid: submission.state for sid, submission in reopened._submissions.items()}
+    assert reopened._submissions == portal._submissions
+    return states
+
+
+class _FailingAppend:
+    """Make the ``nth`` audit append of ``portal`` fail once: by raising before it writes, or by a full disk
+    when its written line is synced."""
+
+    def __init__(self, portal: Portal, monkeypatch, nth: int, fault: str) -> None:
+        self._log, self._appends, self._nth = portal.audit_log, 0, nth
+        if fault == "raise":
+            append = AuditLog.append
+
+            def failing_append(log: AuditLog, event: dict):
+                self._count(OSError(errno.EIO, "Input/output error"))
+                return append(log, event)
+
+            monkeypatch.setattr(AuditLog, "append", failing_append)
+        else:
+            fsync = os.fsync
+
+            def failing_fsync(fd: int) -> None:
+                if os.path.samestat(os.fstat(fd), os.stat(self._log.path)):
+                    self._count(OSError(errno.ENOSPC, "No space left on device"))
+                fsync(fd)
+
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+
+    def _count(self, fault: OSError) -> None:
+        self._appends += 1
+        if self._appends == self._nth + 1:
+            raise fault
+
+
+class TestTheLogIsTheRecord:
+    def test_a_proved_package_syncs_two_blobs_and_four_appends(
+        self, portal: Portal, archive: bytes, monkeypatch
+    ) -> None:
+        fsync, synced = os.fsync, []
+
+        def counted_fsync(fd: int) -> None:
+            synced.append(os.fstat(fd))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counted_fsync)
+        assert portal.process(portal.submit(archive).submission_id).state == "Proved"
+        log = os.stat(portal.audit_log.path)
+        assert len(synced) == 6
+        assert sum(os.path.samestat(stat, log) for stat in synced) == 4
+        assert not (portal.store_dir / "submissions").exists()
+
+    @pytest.mark.parametrize("fault", ["raise", "ENOSPC"])
+    @pytest.mark.parametrize(
+        ("step", "nth"), [("submit", 0), ("process", 0), ("process", 1), ("process", 2)],
+        ids=["submission-received", "claim", "proof-archived", "proved"],
+    )
+    def test_a_failed_append_changes_nothing(
+        self, portal: Portal, archive: bytes, monkeypatch, step: str, nth: int, fault: str
+    ) -> None:
+        submission_id = portal.submit(archive, author_id="alice").submission_id if step == "process" else None
+        before = dict(portal._submissions)
+        _FailingAppend(portal, monkeypatch, nth, fault)
+        with pytest.raises(OSError):
+            portal.submit(archive, author_id="alice") if step == "submit" else portal.process(submission_id)
+        assert portal._submissions == before
+        assert _legal_replay(portal) == {sid: "Received" for sid in before}
+        if step == "submit":
+            submission_id = portal.submit(archive, author_id="alice").submission_id
+        assert portal.process(submission_id).state == "Proved"
+        assert _legal_replay(portal) == {submission_id: "Proved"}
+        assert portal.audit_check().ok
+
+    def test_a_store_with_record_files_replays_to_those_records(self, tmp_path: Path) -> None:
+        store = tmp_path / "store"
+        shutil.copytree(LEGACY_STORE, store)
+        records = [Submission.from_dict(json.loads(path.read_bytes())) for path in (store / "submissions").iterdir()]
+        assert sorted(record.state for record in records) == ["Failed", "Proved", "Received", "Running"]
+        logged = _decoded(AuditLog(store / "audit.log").entries())
+        voided = [entry.event for entry in logged if entry.event["type"] == "commit-failed"]
+        assert len(voided) == 1
+
+        portal = Portal(store, clock=lambda: 1_700_000_100)
+        swept = {record.submission_id: replace(record, state="Received") if record.state == "Running" else record
+                 for record in records}
+        assert portal._submissions == swept
+        assert "NonZeroExit" in next(s.failure_reason for s in swept.values() if s.state == "Failed")
+        assert _legal_replay(portal) == {sid: submission.state for sid, submission in swept.items()}
+        proved = next(s for s in swept.values() if s.state == "Proved")
+        assert portal.public_verify(proved.token).verdict.accepted
+
+        # the submission whose record was never renamed into place is not a duplicate of itself
+        lost = next(entry.event for entry in logged if entry.seq == voided[0]["seq"])
+        again = portal.submit(portal.blobs.get(lost["archive_blob"]), author_id=lost["author_id"])
+        assert portal.process(again.submission_id).state == "Proved"
+        waiting = next(sid for sid, s in swept.items() if s.state == "Received")
+        assert portal.process(waiting).state == "Proved"
+        assert portal.audit_check().ok
+        assert _legal_replay(portal)[again.submission_id] == "Proved"
 
 
 class TestFixedLimits:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import errno
 import http.client
 import io
 import json
+import shutil
 import socket
 import statistics
 import struct
@@ -23,9 +25,9 @@ from attestrep.archive import pack_tree
 from attestrep.bundle import parse_bundle
 from attestrep.portal.audit import AuditEntry
 from attestrep.portal.core import Portal
-from attestrep.portal.http import CONNECTION_TIMEOUT_S, PortalRequestHandler, make_server
+from attestrep.portal.http import CONNECTION_TIMEOUT_S, MAX_VERIFY_BYTES, PortalRequestHandler, make_server
 from attestrep.verifier import verify_bundle
-from conftest import PROVIDER_SEED, make_package
+from conftest import LEGACY_STORE, PROVIDER_SEED, make_package
 from test_bundle_schema import HOSTILE
 
 
@@ -34,16 +36,25 @@ def portal(tmp_path: Path) -> Portal:
     return Portal(tmp_path / "store", provider_seed=PROVIDER_SEED)
 
 
-@pytest.fixture
-def base_url(portal: Portal):
+@contextlib.contextmanager
+def _serving(portal: Portal):
+    """The base URL of an HTTP front end over ``portal``, served while the block runs."""
     server = make_server(portal, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def base_url(portal: Portal):
+    with _serving(portal) as url:
+        yield url
 
 
 @pytest.fixture
@@ -75,6 +86,27 @@ def test_submission_lifecycle(base_url: str, archive: bytes, portal: Portal) -> 
     bundle = parse_bundle(proof.content)
     assert bundle.token == token
     assert verify_bundle(proof.content, [portal.provider.root_public_key], now=portal.clock()).accepted
+
+
+@pytest.mark.parametrize("store", ["new", "legacy"])
+def test_a_restart_serves_the_same_submissions(tmp_path: Path, store: str) -> None:
+    store_dir = tmp_path / "store"
+    if store == "legacy":
+        shutil.copytree(LEGACY_STORE, store_dir)
+    clock = lambda: 1_700_000_100  # noqa: E731 - inside the legacy store's proof validity
+    portal = Portal(store_dir, provider_seed=PROVIDER_SEED, clock=clock)
+    with _serving(portal) as url:
+        for name, script in (("proved", None), ("failed", "#!/bin/sh\nexit 5\n"), ("waiting", None)):
+            package = make_package(tmp_path / name, extra_files={"name.txt": name}, **({"script": script} if script else {}))
+            submission_id = _submit(url, pack_tree(package), author=name)
+            if name != "waiting":
+                requests.post(f"{url}/v1/submissions/{submission_id}/process", timeout=30)
+        before = {sid: requests.get(f"{url}/v1/submissions/{sid}", timeout=10).json() for sid in portal._submissions}
+    assert {"Received", "Proved", "Failed"} <= {record["state"] for record in before.values()}
+    assert all(record["failure_reason"] for record in before.values() if record["state"] == "Failed")
+    with _serving(Portal(store_dir, clock=clock)) as url:
+        after = {sid: requests.get(f"{url}/v1/submissions/{sid}", timeout=10).json() for sid in before}
+    assert after == before
 
 
 def test_verify_endpoint_by_token(base_url: str, archive: bytes) -> None:
@@ -269,8 +301,11 @@ def test_client_reset_is_a_close_not_a_traceback(base_url: str, capfd) -> None:
         (b"POST /v1/verify HTTP/1.1\r\nHost: t\r\nContent-Length: -1\r\n\r\n", 400, "BadRequest"),
         (b"POST /v1/submissions HTTP/1.1\r\nHost: t\r\n\r\n", 411, "LengthRequired"),
         (b"POST /v1/submissions HTTP/1.1\r\nHost: t\r\nContent-Length: 1073741825\r\n\r\n", 413, "PayloadTooLarge"),
+        (b"POST /v1/verify HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n" % (MAX_VERIFY_BYTES + 1), 413,
+         "PayloadTooLarge"),
     ],
-    ids=["from-seq-not-a-number", "length-not-a-number", "length-negative", "length-missing", "length-over-cap"],
+    ids=["from-seq-not-a-number", "length-not-a-number", "length-negative", "length-missing", "length-over-cap",
+         "verify-length-over-cap"],
 )
 def test_malformed_request_fails_closed(base_url: str, head: bytes, status: int, error: str) -> None:
     answered, body = _raw_exchange(base_url, head)
