@@ -10,22 +10,27 @@ tree it unpacks to: only regular files and directories (no links of any
 kind), names that follow the package path rules after one leading ``./``
 is dropped, no name twice, no file that is also another member's
 directory, no regular file named with a trailing ``/``, at most
-``MAX_ARCHIVE_BYTES`` of file contents and at most ``MAX_MEMBERS`` members.
-Both limits are read when an archive is, not when this module loads. Member
-headers are read one at a time and checked as they come, so a refused
-archive is refused at its first bad or surplus member.
+``MAX_ARCHIVE_BYTES`` of file contents and at most ``MAX_MEMBERS`` members,
+and nothing but zero bytes after the last member (the end-of-archive blocks,
+or nothing when the archive ends on a block boundary), so a header that is
+cut off or fails its checksum cannot end the archive early and leave bytes
+no digest covers. Both limits are read when an archive is, not when this
+module loads. Member headers are read one at a time and checked as they
+come, so a refused archive is refused at its first bad or surplus member.
+Member contents stream through one ``package_model.CHUNK``-sized buffer per
+unpack or digest, so neither holds more than a chunk of any one file.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import shutil
 import tarfile
 from pathlib import Path
 
 from attestrep import AttestrepError
 from attestrep.package_model import (
+    CHUNK,
     PackageDigest,
     PathRuleViolation,
     digest_entries,
@@ -102,6 +107,10 @@ def _members(data: bytes) -> tuple[tarfile.TarFile, list[tuple[str, tarfile.TarI
             checked.append((name, member))
     except tarfile.TarError as exc:
         raise ArchiveMalformed(f"unreadable tar: {exc}") from exc
+    # tarfile ends the member list at a cut-off header or one that fails its checksum as it
+    # does at the end-of-archive zeros; anything but zeros there would be bytes no digest covers
+    if data.count(0, tar.offset) != len(data) - tar.offset:
+        raise ArchiveMalformed(f"bytes after the last member at offset {tar.offset} are not end-of-archive zeros")
     return tar, checked
 
 
@@ -110,6 +119,7 @@ def unpack_archive(data: bytes, dest: str | Path) -> None:
     dest = Path(dest)
     dest.mkdir(parents=True, exist_ok=True)
     tar, members = _members(data)
+    buffer = bytearray(CHUNK)
     with tar:
         for name, member in members:
             target = dest / name
@@ -118,7 +128,7 @@ def unpack_archive(data: bytes, dest: str | Path) -> None:
                 continue
             target.parent.mkdir(parents=True, exist_ok=True)
             with tar.extractfile(member) as source, target.open("wb") as out:
-                shutil.copyfileobj(source, out, 1 << 20)
+                stream_sha256(source, buffer, out)  # the one chunked copy; the caller digests the tree it wrote
             if member.mode & 0o100:
                 target.chmod(0o755)
 
@@ -126,8 +136,9 @@ def unpack_archive(data: bytes, dest: str | Path) -> None:
 def digest_archive(data: bytes) -> PackageDigest:
     """In memory, ``digest_package`` of the tree ``unpack_archive`` would write; refuses what it refuses."""
     tar, members = _members(data)
+    buffer = bytearray(CHUNK)
     with tar:
         return digest_entries(
-            (name, *stream_sha256(tar.extractfile(member))) for name, member in members if member.isreg()
+            (name, *stream_sha256(tar.extractfile(member), buffer)) for name, member in members if member.isreg()
         )
 

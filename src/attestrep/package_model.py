@@ -13,6 +13,12 @@ prefixes domain-separate leaves from the root. Directory entries, empty
 directories, and permission bits are excluded; they vary across operating
 systems and archive tools. Symlinks, special files and names that are not
 UTF-8 are refused outright.
+
+File contents stream through one ``CHUNK``-sized buffer that each operation
+allocates once and passes down (``stream_sha256``'s ``buffer``), so the
+memory a digest, an unpack or an output snapshot takes does not grow with
+file size. The buffer is never shared between operations, which may run on
+several threads at once.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ from attestrep.bundle import PackageDigest
 
 MANIFEST_NAME = "attestrep.manifest"
 
-_CHUNK = 1 << 20
+# bytes per ``readinto``: few calls per large file, and little memory per concurrent operation
+CHUNK = 1 << 18
 
 
 class PackageError(AttestrepError):
@@ -144,20 +151,32 @@ def package_files(root: str | Path) -> list[tuple[str, str]]:
     return files
 
 
-def stream_sha256(fh) -> tuple[bytes, int]:
-    """SHA-256 and length of what is left in a binary file object, read in chunks."""
+def stream_sha256(fh, buffer: bytearray, out=None, limit: int | None = None) -> tuple[bytes, int]:
+    """SHA-256 and length of what is left in binary file ``fh``, read into ``buffer`` a chunk at a time.
+
+    The one chunked read loop: each filled chunk is also written to ``out``
+    when one is given. With a ``limit``, reading stops at the first chunk
+    that takes the length past it, which is then neither hashed nor written,
+    so a returned length over ``limit`` means the rest went unread.
+    """
     hasher = hashlib.sha256()
     size = 0
-    while chunk := fh.read(_CHUNK):
+    view = memoryview(buffer)
+    while n := fh.readinto(view):
+        size += n
+        if limit is not None and size > limit:
+            break
+        chunk = view[:n]
         hasher.update(chunk)
-        size += len(chunk)
+        if out is not None:
+            out.write(chunk)
     return hasher.digest(), size
 
 
-def file_sha256(path: str | Path) -> tuple[bytes, int]:
+def file_sha256(path: str | Path, buffer: bytearray) -> tuple[bytes, int]:
     try:
-        with open(path, "rb") as fh:
-            return stream_sha256(fh)
+        with open(path, "rb", buffering=0) as fh:  # readinto fills ``buffer`` straight from the file
+            return stream_sha256(fh, buffer)
     except OSError as exc:
         raise UnreadableFile(str(path), str(exc)) from exc
 
@@ -178,7 +197,8 @@ def digest_package(root: str | Path) -> PackageDigest:
     change in any file path or content byte. Contents must not change while
     this runs.
     """
-    return digest_entries((rel, *file_sha256(path)) for rel, path in package_files(root))
+    buffer = bytearray(CHUNK)
+    return digest_entries((rel, *file_sha256(path, buffer)) for rel, path in package_files(root))
 
 
 def load_manifest(root: str | Path) -> PackageManifest:

@@ -149,7 +149,8 @@ class Portal:
     """One store directory, any number of concurrent callers.
 
     Records live in memory as ``id -> Submission`` and ``token -> Submission``,
-    replayed once from the audit log, beside ``archive blob -> PackageDigest``
+    replayed once from the audit log, with ``(author, package digest) -> ids``
+    so the duplicate check is a lookup, beside ``archive blob -> PackageDigest``
     for each archive ``public_verify`` has digested. One lock covers the two steps that must not
     interleave: ``submit``'s duplicate check and insert, and ``process``'s
     claim of a Received submission. Packages run with no lock held, so
@@ -172,6 +173,7 @@ class Portal:
         self._lock = threading.Lock()
         self._submissions: dict[str, Submission] = {}
         self._tokens: dict[str, Submission] = {}
+        self._by_package: dict[tuple[str, bytes], list[str]] = {}  # (author, package digest) -> ids, oldest first
         self._archive_digests: dict[str, PackageDigest] = {}  # archive blob key -> digest of its bytes
         self._proofs: dict[str, dict] = {}  # id -> the bundle of its last proof-archived event, until Proved
         recorded: dict[int, dict] = {}  # seq -> event, for each event that changes a submission
@@ -219,6 +221,7 @@ class Portal:
             digest = PackageDigest(bytes.fromhex(event["package_digest"]), event["file_count"], event["total_bytes"])
             submission = Submission(submission_id, event["author_id"], event["at"], STATE_RECEIVED, digest,
                                     event["archive_blob"])
+            self._by_package.setdefault((submission.author_id, digest.value), []).append(submission_id)
         else:
             proof = self._proofs.pop(submission_id) if event["state"] == STATE_PROVED else {}
             submission = replace(self._submissions[submission_id], state=event["state"],
@@ -266,13 +269,9 @@ class Portal:
 
             with self._lock:
                 received_at = self.clock()
-                for existing in self._submissions.values():
-                    if (
-                        existing.author_id == author_id
-                        and existing.package_digest.value == package_digest.value
-                        and received_at - existing.received_at <= DUPLICATE_WINDOW_SECONDS
-                    ):
-                        raise DuplicateSubmission(existing.submission_id)
+                for existing_id in self._by_package.get((author_id, package_digest.value), ()):
+                    if received_at - self._submissions[existing_id].received_at <= DUPLICATE_WINDOW_SECONDS:
+                        raise DuplicateSubmission(existing_id)
                 material = package_digest.value + received_at.to_bytes(8, "big") + author_id.encode("utf-8")
                 submission_id = hashlib.sha256(material).hexdigest()
                 archive_blob = self.blobs.put(archive_bytes)

@@ -4,9 +4,11 @@ The original tree is never touched: the entrypoint runs inside a fresh copy
 with a scrubbed environment (PATH/HOME/LANG allowlist) as the leader of
 its own process group, stdout and stderr stream to log files beside the
 copy, and declared outputs are digested while they are snapshotted after
-the run. The whole group is killed once the wait for the entrypoint ends,
-whether it exited, ran out of time or was interrupted, so no process it
-left in the background writes to the outputs during or after the snapshot.
+the run. The snapshot streams every file through one chunk-sized buffer
+(``package_model.stream_sha256``), so its memory does not grow with the
+outputs' size. The whole group is killed once the wait for the entrypoint
+ends, whether it exited, ran out of time or was interrupted, so no process
+it left in the background writes to the outputs during or after the snapshot.
 The wait watches the entrypoint's pidfd, so its exit is seen as it happens
 and ``wall_seconds`` is the entrypoint's own run time, not that plus a
 polling interval.
@@ -26,7 +28,6 @@ Sandbox layout under ``work_dir``::
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import logging
 import os
 import select
@@ -41,11 +42,13 @@ from pathlib import Path
 from attestrep import AttestrepError
 from attestrep.bundle import ExecutionSummary, PackageDigest
 from attestrep.package_model import (
+    CHUNK,
     PackageManifest,
     UnreadableFile,
     digest_entries,
     digest_package,
     file_sha256,
+    stream_sha256,
 )
 
 logger = logging.getLogger(__name__)
@@ -53,8 +56,6 @@ logger = logging.getLogger(__name__)
 ENV_ALLOWLIST = ("PATH", "HOME", "LANG")
 # what one run's matched outputs may total; read at each snapshot
 MAX_OUTPUT_BYTES = 1 << 30
-
-_CHUNK = 1 << 20
 
 
 class RunnerError(AttestrepError):
@@ -143,23 +144,19 @@ def _collect_outputs(tree: Path, patterns: tuple[str, ...]) -> list[str]:
     return sorted(matched)
 
 
-def _snapshot_outputs(tree: Path, rel_paths: list[str], snapshot: Path) -> PackageDigest:
+def _snapshot_outputs(tree: Path, rel_paths: list[str], snapshot: Path, buffer: bytearray) -> PackageDigest:
     """Copy the matched outputs into ``snapshot``, hashing each chunk on the way; their digest."""
     entries = []
     total = 0
     for rel in rel_paths:
         dst = snapshot / rel
         dst.parent.mkdir(parents=True, exist_ok=True)
-        hasher = hashlib.sha256()
-        start = total
-        with (tree / rel).open("rb") as src, dst.open("wb") as out:
-            while chunk := src.read(_CHUNK):
-                total += len(chunk)
-                if total > MAX_OUTPUT_BYTES:
-                    raise OutputLimitExceeded(total, MAX_OUTPUT_BYTES)
-                hasher.update(chunk)
-                out.write(chunk)
-        entries.append((rel, hasher.digest(), total - start))
+        with (tree / rel).open("rb", buffering=0) as src, dst.open("wb") as out:
+            content_hash, size = stream_sha256(src, buffer, out, limit=MAX_OUTPUT_BYTES - total)
+        total += size
+        if total > MAX_OUTPUT_BYTES:
+            raise OutputLimitExceeded(total, MAX_OUTPUT_BYTES)
+        entries.append((rel, content_hash, size))
     return digest_entries(entries)
 
 
@@ -268,15 +265,16 @@ def execute(
     if snapshot.exists():
         shutil.rmtree(snapshot)
     snapshot.mkdir()
-    output_digest = _snapshot_outputs(tree, matched, snapshot)
+    buffer = bytearray(CHUNK)  # the snapshot's and the two logs' reads share it
+    output_digest = _snapshot_outputs(tree, matched, snapshot, buffer)
 
     return ExecutionRecord(
         package_digest=package_digest,
         output_digest=output_digest,
         exit_status=exit_status,
         wall_seconds=wall_seconds,
-        stdout_log_digest=file_sha256(stdout_log)[0],
-        stderr_log_digest=file_sha256(stderr_log)[0],
+        stdout_log_digest=file_sha256(stdout_log, buffer)[0],
+        stderr_log_digest=file_sha256(stderr_log, buffer)[0],
         started_at=started_at,
         finished_at=finished_at,
         nonce=nonce,

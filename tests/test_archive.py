@@ -135,6 +135,47 @@ def test_digest_archive_size_cap(monkeypatch: pytest.MonkeyPatch) -> None:
         digest_archive(data)
 
 
+_TWO_MEMBERS = make_tar([("a.txt", b"1"), ("b.txt", b"2")])
+_MEMBERS_END = 4 * 512  # two headers and two data blocks, then the end-of-archive zeros
+
+
+def _bad_checksum_tail() -> bytes:
+    """A second archive whose first header's checksum field is zeroed."""
+    tail = bytearray(make_tar([("more.txt", b"more")]))
+    tail[148:156] = bytes(8)
+    return bytes(tail)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _TWO_MEMBERS[:_MEMBERS_END] + _bad_checksum_tail(),
+        _TWO_MEMBERS[:2 * 512 + 100],  # 100 bytes into the second header
+        _TWO_MEMBERS[:_MEMBERS_END] + bytes(512) + make_tar([("more.txt", b"more")]),
+    ],
+    ids=["header-fails-its-checksum", "header-cut-off", "member-after-a-zero-block"],
+)
+def test_bytes_after_the_last_member_must_be_zeros(data: bytes, tmp_path: Path) -> None:
+    # tarfile ends the member list at each of these as at the end of the archive, but GNU tar
+    # skips a bad header and reads on, and `tar -i` lists more.txt past the zero block
+    with pytest.raises(ArchiveMalformed, match="end-of-archive zeros"):
+        digest_archive(data)
+    with pytest.raises(ArchiveMalformed, match="end-of-archive zeros"):
+        unpack_archive(data, tmp_path / "out")
+    portal = Portal(tmp_path / "store")
+    with pytest.raises(ArchiveMalformed):
+        portal.submit(data)
+    assert portal.audit_entries() == []
+
+
+@pytest.mark.parametrize("data", [_TWO_MEMBERS[:_MEMBERS_END], _TWO_MEMBERS[:_MEMBERS_END + 100],
+                                  _TWO_MEMBERS + bytes(10240)],
+                         ids=["no-end-blocks", "part-of-a-zero-block", "more-zero-blocks"])
+def test_any_run_of_zeros_may_end_an_archive(data: bytes) -> None:
+    assert digest_archive(data) == digest_archive(_TWO_MEMBERS)
+    assert digest_archive(data).file_count == 2
+
+
 @pytest.mark.parametrize(
     "members",
     [

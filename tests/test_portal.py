@@ -231,6 +231,22 @@ class TestSubmit:
             portal.submit(archive, author_id="alice")
         assert excinfo.value.submission_id == first.submission_id
 
+    def test_duplicate_found_after_reopen(self, tmp_path: Path, archive: bytes) -> None:
+        fake_time = [1_700_000_000]
+        portal = Portal(tmp_path / "store", provider_seed=PROVIDER_SEED, clock=lambda: fake_time[0])
+        first = portal.submit(archive, author_id="alice")
+        fake_time[0] += core.DUPLICATE_WINDOW_SECONDS + 1
+        second = portal.submit(archive, author_id="alice")
+        portal.submit(archive, author_id="bob")
+        reopened = Portal(tmp_path / "store", clock=lambda: fake_time[0])
+        with pytest.raises(DuplicateSubmission) as excinfo:
+            reopened.submit(archive, author_id="alice")
+        assert excinfo.value.submission_id == second.submission_id
+        fake_time[0] -= 1  # now within the window of both: the older is named
+        with pytest.raises(DuplicateSubmission) as excinfo:
+            reopened.submit(archive, author_id="alice")
+        assert excinfo.value.submission_id == first.submission_id
+
     def test_submit_reads_no_records(self, portal: Portal, tmp_path: Path, monkeypatch) -> None:
         for i in range(5):
             portal.submit(pack_tree(make_package(tmp_path / f"pkg{i}", extra_files={"i.txt": f"{i}\n"})))
